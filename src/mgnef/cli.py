@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cones import extreme_rays, fnef_cone, verify_extremal_face
 from .divisors import GenusContext, parse_divisor
 from .errors import CertificateFailure, MgnefError, ParseError
-from .fcurves import is_fnef, numerical_classes
+from .fcurves import FORMULAS, is_fnef, numerical_classes
 from .torelli import (
     bpf_scan,
     classify_in_face,
@@ -25,33 +25,39 @@ from .torelli import (
     semiample_status,
 )
 
-TABLE_ROWS = [
-    ("C1", "a/12 - b0 + b1/12", "1/12", "0"),
-    ("C2", "b0", "0", "1"),
-    ("C3(i)", "b_i", "0", "0"),
-    ("C4(i)", "2*b0 - b_{i+1}", "0", "2"),
-    ("C5(i,j)", "b_i + b_j - b_{i+j}", "0", "0"),
-    ("C6(i,j,k,l)", "b_i + b_j + b_k + b_l - b_{i+j} - b_{i+k} - b_{i+l}", "0", "0"),
-]
 
-TABLE_ROWS_LATEX = [
-    ("C_1", r"\frac{a}{12} - b_0 + \frac{b_1}{12}", r"\frac{1}{12}", "0"),
-    ("C_2", "b_0", "0", "1"),
-    ("C_3(i)", "b_i", "0", "0"),
-    ("C_4(i)", "2b_0 - b_{i+1}", "0", "2"),
-    (
-        "C_5(i,j)",
-        "b_i + b_j - b_{i+j}",
-        "0",
-        "0",
-    ),
-    (
-        "C_6(i,j,k,l)",
-        "b_i + b_j + b_k + b_l - b_{i+j} - b_{i+k} - b_{i+l}",
-        "0",
-        "0",
-    ),
-]
+def _formula(terms, latex: bool) -> str:
+    """Render FORMULAS terms, which are 12 * (D . C), as D . C."""
+    out = ""
+    for coeff, coord in terms:
+        if latex and coord[1:].isdigit():
+            coord = f"b_{coord[1:]}"
+        c = abs(Fraction(coeff, 12))
+        body = coord if c.numerator == 1 else f"{c.numerator}{'' if latex else '*'}{coord}"
+        if c.denominator != 1:
+            body = rf"\frac{{{body}}}{{{c.denominator}}}" if latex else f"{body}/{c.denominator}"
+        out += (" - " if coeff < 0 else " + ") if out else ("-" if coeff < 0 else "")
+        out += body
+    return out
+
+
+def _number(x: Fraction, latex: bool) -> str:
+    return rf"\frac{{{x.numerator}}}{{{x.denominator}}}" if latex and x.denominator != 1 else str(x)
+
+
+def _table_rows(latex: bool = False) -> list[tuple[str, str, str, str]]:
+    """(curve, value on D, value on lambda, value on 12*lambda - delta_0)
+    per family, from the formula table."""
+    rows = []
+    for fam, (names, terms) in FORMULAS.items():
+        label = f"{fam[0]}_{fam[1:]}" if latex else fam
+        if names:
+            label += f"({','.join(names)})"
+        coeff = {coord: c for c, coord in terms}
+        lam = Fraction(coeff.get("a", 0), 12)
+        twelve = 12 * lam + Fraction(coeff.get("b0", 0), 12)
+        rows.append((label, _formula(terms, latex), _number(lam, latex), _number(twelve, latex)))
+    return rows
 
 
 def _emit(payload: dict, human: str, args) -> None:
@@ -68,18 +74,18 @@ def cmd_fcurves(args) -> int:
     records = []
     lines = [f"F-curve classes at genus {g}:"]
     for rec in numerical_classes(g):
-        c = rec.curve
+        c, vector = rec.curve, rec.vector
         records.append(
             {
                 "family": c.family,
                 "indices": list(c.indices),
                 "genus": g,
-                "vector": [str(x) for x in rec.vector],
+                "vector": [str(x) for x in vector],
                 "merged": list(rec.tags),
             }
         )
         merged = "" if len(rec.tags) == 1 else f"  (= {', '.join(rec.tags[1:])})"
-        vecstr = "(" + ", ".join(str(x) for x in rec.vector) + ")"
+        vecstr = "(" + ", ".join(str(x) for x in vector) + ")"
         lines.append(f"  {c.tag:<16} {vecstr}{merged}")
     payload = {"command": "fcurves", "genus": g, "count": len(records), "curves": records}
     _emit(payload, "\n".join(lines), args)
@@ -89,9 +95,10 @@ def cmd_fcurves(args) -> int:
 def cmd_table(args) -> int:
     g = args.genus
     GenusContext(g).require_basis()
+    text_rows = _table_rows()
     rows = [
         {"family": fam, "value": val, "lambda": lam, "twelve_lambda_minus_delta0": tw}
-        for fam, val, lam, tw in TABLE_ROWS
+        for fam, val, lam, tw in text_rows
     ]
     payload = {"command": "table", "genus": g, "rows": rows}
     if args.format == "latex":
@@ -102,14 +109,14 @@ def cmd_table(args) -> int:
             r"$12\lambda - \delta_0$ \\",
             r"\hline",
         ]
-        for fam, val, lam, twelve in TABLE_ROWS_LATEX:
+        for fam, val, lam, twelve in _table_rows(latex=True):
             lines.append(f"${fam}$ & ${val}$ & ${lam}$ & ${twelve}$ \\\\")
         lines += [r"\hline", r"\end{tabular}"]
         human = "\n".join(lines)
     else:
-        width = max(len(r[1]) for r in TABLE_ROWS)
+        width = max(len(r[1]) for r in text_rows)
         lines = [f"{'curve':<14} {'value':<{width}}  {'lambda':>6}  12lambda-delta0"]
-        for fam, val, lam, tw in TABLE_ROWS:
+        for fam, val, lam, tw in text_rows:
             lines.append(f"{fam:<14} {val:<{width}}  {lam:>6}  {tw}")
         human = "\n".join(lines)
     _emit(payload, human, args)
@@ -292,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bpf" and (args.m_max < 1 or args.alpha_max < 0 or args.beta_max < 0):
+        parser.error("empty bpf grid: need --m-max >= 1, --alpha-max >= 0 and --beta-max >= 0")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .divisors import (
@@ -25,11 +26,13 @@ from .errors import (
     NotMemberError,
     NotPointedError,
 )
-from .fcurves import FCurve, ineq_row, intersect, is_fnef, numerical_classes
+from .fcurves import FCurve, intersect, is_fnef, numerical_classes
 from .linalg import (
     QMatrix,
     Vec,
+    clear_denominators,
     dot,
+    integer_rank,
     is_zero_vec,
     primitive,
     vec,
@@ -100,7 +103,7 @@ def fnef_cone(g) -> PolyCone:
     """H-rep of the F-nef cone: one inequality per numerical F-curve class."""
     ctx = as_context(g)
     classes = numerical_classes(ctx)
-    rows = tuple(primitive(ineq_row(rec.curve)) for rec in classes)
+    rows = tuple(vec(rec.row) for rec in classes)
     labels = tuple(rec.curve.tag for rec in classes)
     return PolyCone(ctx.dim, rows, labels, None, ctx.g)
 
@@ -332,8 +335,13 @@ def face_of(cone: PolyCone, point, limit: int = DEFAULT_DIM_LIMIT) -> FaceCertif
                 )
                 back.append(primitive(full))
             gens = tuple(sorted(back))
+    # the lemma matrix certifies only the face spanned by lambda and
+    # 12*lambda - delta_0
     mat = det = None
-    if cone.genus is not None:
+    if cone.genus is not None and gens == (
+        primitive(lambda_class(cone.genus).coeffs()),
+        primitive(twelve_lambda_minus_delta0(cone.genus).coeffs()),
+    ):
         mat = lemma_matrix(cone.genus)
         det = mat.det()
     labels = cone.labels or tuple(f"ineq{i}" for i in range(len(cone.ineq_rows)))
@@ -431,12 +439,13 @@ def face_certificate(
         Check("independence:lemma-matrix", dt != 0 and abs(dt) == 1, f"det = {dt}")
     )
 
+    x1, x2 = clear_denominators(gen1.coeffs()), clear_denominators(gen2.coeffs())
     active = [
         rec
         for rec in classes
-        if intersect(gen1, rec.curve) == 0 and intersect(gen2, rec.curve) == 0
+        if sum(map(mul, rec.row, x1)) == 0 and sum(map(mul, rec.row, x2)) == 0
     ]
-    active_rank = _rank_of([primitive(ineq_row(rec.curve)) for rec in active])
+    active_rank = integer_rank(rec.row for rec in active)
     checks.append(
         Check(
             "face:active-rank",

@@ -9,16 +9,11 @@ The six families of one-parameter degenerations are labelled C1..C6:
     C5(i, j)      two moving nodes, parts of genus i and j
     C6(i, j, k, l)  four parts attached to a rational cross, i+j+k+l = g
 
-Intersection numbers against D = a*lambda - sum b_i delta_i:
-
-    C1:  a/12 - b_0 + b_1/12
-    C2:  b_0
-    C3:  b_i
-    C4:  2 b_0 - b_{i+1}
-    C5:  b_i + b_j - b_{i+j}
-    C6:  b_i + b_j + b_k + b_l - b_{i+j} - b_{i+k} - b_{i+l}
-
-with every subscript read through the reflection k -> min(k, g-k).
+Their intersection numbers against D = a*lambda - sum b_i delta_i live in
+one place, the ``FORMULAS`` table below, as integer coefficients of
+12 * (D . C).  Everything else is derived from it: ``intersect``,
+``intersection_vector``, ``ineq_row``, the cached class table and the
+CLI's symbolic table.
 """
 
 from __future__ import annotations
@@ -26,10 +21,68 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import mul
 
-from .divisors import DivisorClass, GenusContext, as_context, delta, lambda_class
+from .divisors import DivisorClass, GenusContext, as_context
 from .errors import GenusMismatchError, IndexOutOfRangeError, UnsupportedGenusError
-from .linalg import Vec
+from .linalg import Vec, clear_denominators
+
+# 12 * (D . C) for D = a*lambda - sum_k b_k delta_k: per family, the names
+# of its indices and the terms (coefficient, coordinate).  A coordinate is
+# "a" or b with a subscript that is a constant, an index name, or a sum of
+# these, read through the reflection k -> min(k, g-k) (Gibney-Keel-Morrison,
+# Towards the ample cone of M_{g,n}, 2002).
+FORMULAS = {
+    "C1": ("", ((1, "a"), (-12, "b0"), (1, "b1"))),
+    "C2": ("", ((12, "b0"),)),
+    "C3": ("i", ((12, "b_i"),)),
+    "C4": ("i", ((24, "b0"), (-12, "b_{i+1}"))),
+    "C5": ("ij", ((12, "b_i"), (12, "b_j"), (-12, "b_{i+j}"))),
+    "C6": ("ijkl", ((12, "b_i"), (12, "b_j"), (12, "b_k"), (12, "b_l"),
+                    (-12, "b_{i+j}"), (-12, "b_{i+k}"), (-12, "b_{i+l}"))),
+}
+
+
+@lru_cache(maxsize=None)
+def _terms(family: str) -> tuple[tuple[int, int | None, tuple[int, ...]], ...]:
+    """FORMULAS terms as (coefficient, constant, index positions): the
+    subscript of b is the constant plus the indices at those positions, and
+    a constant of None stands for the coordinate a."""
+    names, terms = FORMULAS[family]
+    out = []
+    for coeff, coord in terms:
+        if coord == "a":
+            out.append((coeff, None, ()))
+            continue
+        parts = coord[1:].strip("_{}").split("+")
+        const = sum(int(p) for p in parts if p.isdigit())
+        out.append((coeff, const, tuple(names.index(p) for p in parts if not p.isdigit())))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _slots(g: int) -> tuple[int, ...]:
+    """Position of b_k in (a, b_0, ..., b_{floor(g/2)}) for k = 0..g."""
+    return tuple(1 + min(k, g - k) for k in range(g + 1))
+
+
+def _row12(family: str, indices: tuple[int, ...], g: int) -> tuple[int, ...]:
+    """12 * (D . C) as integer coefficients on (a, b_0, ..., b_{floor(g/2)})."""
+    row, slots = [0] * (g // 2 + 2), _slots(g)
+    for coeff, const, pos in _terms(family):
+        if const is None:
+            row[0] += coeff
+        else:
+            k = const
+            for p in pos:
+                k += indices[p]
+            row[slots[k]] += coeff
+    return tuple(row)
+
+
+def _tag(family: str, indices: tuple[int, ...]) -> str:
+    return f"{family}({','.join(map(str, indices))})" if indices else family
 
 
 @dataclass(frozen=True)
@@ -43,45 +96,25 @@ class FCurve:
     def __post_init__(self):
         g = self.ctx.g
         fam, idx = self.family, self.indices
-        if fam == "C1":
-            if idx:
-                raise IndexOutOfRangeError("C1 takes no indices")
-        elif fam == "C2":
-            if idx:
-                raise IndexOutOfRangeError("C2 takes no indices")
-            if g < 3:
-                raise UnsupportedGenusError("C2 needs genus >= 3")
-        elif fam == "C3":
-            if len(idx) != 1:
-                raise IndexOutOfRangeError("C3 takes one index")
-            if not 1 <= idx[0] <= g - 2:
-                raise IndexOutOfRangeError(f"C3 index {idx[0]} outside 1..{g - 2}")
-        elif fam == "C4":
-            if len(idx) != 1:
-                raise IndexOutOfRangeError("C4 takes one index")
-            if not 0 <= idx[0] <= g - 2:
-                raise IndexOutOfRangeError(f"C4 index {idx[0]} outside 0..{g - 2}")
-        elif fam == "C5":
-            if len(idx) != 2:
-                raise IndexOutOfRangeError("C5 takes two indices")
-            i, j = idx
-            if i < 1 or j < 1 or i + j > g - 1:
-                raise IndexOutOfRangeError(f"C5 indices {idx} need i,j >= 1, i+j <= {g - 1}")
-        elif fam == "C6":
-            if len(idx) != 4:
-                raise IndexOutOfRangeError("C6 takes four indices")
-            if any(i < 1 for i in idx):
-                raise IndexOutOfRangeError(f"C6 indices {idx} must all be >= 1")
-            if sum(idx) != g:
-                raise IndexOutOfRangeError(f"C6 indices {idx} must sum to the genus {g}")
-        else:
+        if fam not in FORMULAS:
             raise ValueError(f"unknown family {fam!r}")
+        names = FORMULAS[fam][0]
+        if len(idx) != len(names):
+            raise IndexOutOfRangeError(f"{fam} takes the indices ({','.join(names)}), got {idx}")
+        if fam == "C2" and g < 3:
+            raise UnsupportedGenusError("C2 needs genus >= 3")
+        elif fam == "C3" and not 1 <= idx[0] <= g - 2:
+            raise IndexOutOfRangeError(f"C3 index {idx[0]} outside 1..{g - 2}")
+        elif fam == "C4" and not 0 <= idx[0] <= g - 2:
+            raise IndexOutOfRangeError(f"C4 index {idx[0]} outside 0..{g - 2}")
+        elif fam == "C5" and (min(idx) < 1 or sum(idx) > g - 1):
+            raise IndexOutOfRangeError(f"C5 indices {idx} need i,j >= 1, i+j <= {g - 1}")
+        elif fam == "C6" and (min(idx) < 1 or sum(idx) != g):
+            raise IndexOutOfRangeError(f"C6 indices {idx} must be >= 1 and sum to the genus {g}")
 
     @property
     def tag(self) -> str:
-        if not self.indices:
-            return self.family
-        return f"{self.family}({','.join(str(i) for i in self.indices)})"
+        return _tag(self.family, self.indices)
 
     @property
     def sort_key(self) -> tuple:
@@ -91,42 +124,43 @@ class FCurve:
         return self.tag
 
 
+def ineq_row(c: FCurve) -> Vec:
+    """Coefficients of D . C as a functional on (a, b_0, ..., b_{floor(g/2)})."""
+    return tuple(Fraction(x, 12) for x in _row12(c.family, c.indices, c.ctx.g))
+
+
 def intersect(d: DivisorClass, c: FCurve) -> Fraction:
     """Intersection number of a divisor class with an F-curve."""
     if d.ctx != c.ctx:
         raise GenusMismatchError(f"divisor genus {d.ctx.g} vs curve genus {c.ctx.g}")
-    fam, idx = c.family, c.indices
-    if fam == "C1":
-        return d.a / 12 - d.b_at(0) + d.b_at(1) / 12
-    if fam == "C2":
-        return d.b_at(0)
-    if fam == "C3":
-        return d.b_at(idx[0])
-    if fam == "C4":
-        return 2 * d.b_at(0) - d.b_at(idx[0] + 1)
-    if fam == "C5":
-        i, j = idx
-        return d.b_at(i) + d.b_at(j) - d.b_at(i + j)
-    i, j, k, l = idx
-    return (
-        d.b_at(i) + d.b_at(j) + d.b_at(k) + d.b_at(l)
-        - d.b_at(i + j) - d.b_at(i + k) - d.b_at(i + l)
-    )
+    row = _row12(c.family, c.indices, c.ctx.g)
+    return sum((x * y for x, y in zip(row, d.coeffs()) if x), Fraction(0)) / 12
 
 
 def intersection_vector(c: FCurve) -> Vec:
     """(lambda . C, delta_0 . C, ..., delta_{floor(g/2)} . C)."""
-    ctx = c.ctx
-    vals = [intersect(lambda_class(ctx), c)]
-    for i in range(ctx.max_delta + 1):
-        vals.append(intersect(delta(ctx, i), c))
-    return tuple(vals)
+    row = _row12(c.family, c.indices, c.ctx.g)
+    return (Fraction(row[0], 12),) + tuple(Fraction(-x, 12) for x in row[1:])
 
 
-def ineq_row(c: FCurve) -> Vec:
-    """Coefficients of D . C as a functional on (a, b_0, ..., b_{floor(g/2)})."""
-    v = intersection_vector(c)
-    return (v[0],) + tuple(-x for x in v[1:])
+def _raw_indices(n: int):
+    """(family, indices) of every curve at genus n, in sort-key order."""
+    yield "C1", ()
+    if n >= 3:
+        yield "C2", ()
+    for i in range(1, n - 1):
+        yield "C3", (i,)
+    for i in range(0, n - 1):
+        yield "C4", (i,)
+    for i in range(1, n):
+        for j in range(i, n - i):
+            yield "C5", (i, j)
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            for k in range(j, n + 1):
+                l = n - i - j - k
+                if l >= k:
+                    yield "C6", (i, j, k, l)
 
 
 def enumerate_fcurves_raw(g) -> list[FCurve]:
@@ -136,47 +170,38 @@ def enumerate_fcurves_raw(g) -> list[FCurve]:
     tuples give the same curve, so only the sorted form is emitted.
     """
     ctx = as_context(g)
-    n = ctx.g
-    curves = [FCurve(ctx, "C1")]
-    if n >= 3:
-        curves.append(FCurve(ctx, "C2"))
-    for i in range(1, n - 1):
-        curves.append(FCurve(ctx, "C3", (i,)))
-    for i in range(0, n - 1):
-        curves.append(FCurve(ctx, "C4", (i,)))
-    for i in range(1, n):
-        for j in range(i, n - i):
-            curves.append(FCurve(ctx, "C5", (i, j)))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                l = n - i - j - k
-                if l >= k:
-                    curves.append(FCurve(ctx, "C6", (i, j, k, l)))
-    return curves
+    return [FCurve(ctx, fam, idx) for fam, idx in _raw_indices(ctx.g)]
 
 
 @dataclass(frozen=True)
 class FCurveClass:
-    """A numerical class of F-curves: representative, vector, all tags."""
+    """A numerical class of F-curves: representative, all tags, and the
+    primitive integer form of its inequality row ``ineq_row(curve)``."""
 
     curve: FCurve
-    vector: Vec
+    row: tuple[int, ...]
     tags: tuple[str, ...]
+
+    @property
+    def vector(self) -> Vec:
+        return intersection_vector(self.curve)
 
 
 @lru_cache(maxsize=None)
 def _classes_cached(ctx: GenusContext) -> tuple[FCurveClass, ...]:
-    groups: dict[Vec, list[FCurve]] = {}
-    for c in enumerate_fcurves_raw(ctx):
-        groups.setdefault(intersection_vector(c), []).append(c)
+    # curves come in sort-key order, so each group's first member is its
+    # representative and the groups are in the order of their representatives
+    groups: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
+    for fam, idx in _raw_indices(ctx.g):
+        groups.setdefault(_row12(fam, idx, ctx.g), []).append((fam, idx))
     records = []
-    for vector, members in groups.items():
-        members.sort(key=lambda c: c.sort_key)
-        records.append(
-            FCurveClass(members[0], vector, tuple(c.tag for c in members))
-        )
-    records.sort(key=lambda r: r.curve.sort_key)
+    for row, members in groups.items():
+        g = gcd(*row)
+        records.append(FCurveClass(
+            FCurve(ctx, *members[0]),
+            tuple([x // g for x in row]),
+            tuple(_tag(fam, idx) for fam, idx in members),
+        ))
     return tuple(records)
 
 
@@ -209,7 +234,8 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     Returns (True, None) or (False, witness) where the witness is the
     violated curve with the smallest (family, indices) key.
     """
+    x = clear_denominators(d.coeffs())
     for rec in numerical_classes(d.ctx):
-        if intersect(d, rec.curve) < 0:
+        if sum(map(mul, rec.row, x)) < 0:
             return False, rec.curve
     return True, None

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on tuples of ``fractions.Fraction`` and never touches
-floating point.  Pivot selection is deterministic: the first nonzero entry
-in row order wins, so results are reproducible across runs and machines.
+Everything here works on tuples of ``fractions.Fraction`` or ``int`` and
+never touches floating point.  Pivot selection is deterministic: the first
+nonzero entry in row order wins, so results are reproducible across runs
+and machines.  Rank runs on integers only, through ``integer_rank``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -43,18 +40,69 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
 
+def clear_denominators(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """The vector times the lcm of its denominators, as ints.
+
+    The scale is positive, so every sign and every zero is kept.
+    """
+    denom = lcm(*(a.denominator for a in v))
+    return tuple(a.numerator * (denom // a.denominator) for a in v)
+
+
 def primitive(v: Sequence[Fraction]) -> Vec:
     """Scale by a positive rational to integer entries with gcd 1.
 
     Positive scaling only, so the direction of the vector is preserved.
     The zero vector maps to itself.
     """
-    if is_zero_vec(v):
-        return tuple(Fraction(0) for _ in v)
-    denom = lcm(*(a.denominator for a in v))
-    ints = [a.numerator * (denom // a.denominator) for a in v]
-    g = gcd(*ints)
-    return tuple(Fraction(n // g) for n in ints)
+    return tuple(Fraction(n) for n in _divide_gcd(clear_denominators(v)))
+
+
+def _divide_gcd(v: Sequence[int]) -> list[int]:
+    g = gcd(*v) or 1
+    return [x // g for x in v]
+
+
+def _reduce(row: Sequence[int], basis: dict[int, list[int]], cols: Sequence[int]) -> list[int]:
+    """A positive multiple of ``row`` minus basis rows that cancels it at
+    every pivot column, on the columns ``cols`` only.
+
+    Basis rows are zero at every pivot column but their own, so the row
+    meets only the pivots where it is nonzero.
+    """
+    s, out = 1, [row[j] for j in cols]
+    for c, b in basis.items():
+        if row[c]:
+            f, p = s * row[c], b[c]
+            out = [p * x - f * b[j] for x, j in zip(out, cols)]
+            s *= p
+    return out
+
+
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination.
+
+    The basis is kept in reduced echelon form with each row divided by the
+    gcd of its entries (the gcd variant of Bareiss's integer-preserving
+    elimination).  A row is in the span exactly when its reduction vanishes
+    on the non-pivot columns, so only those are computed for it unless it
+    adds a pivot.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> row
+    free: list[int] = []
+    for n, row in enumerate(rows):
+        if not n:
+            free = list(range(len(row)))
+        if not any(_reduce(row, basis, free)):
+            continue
+        r = _divide_gcd(_reduce(row, basis, range(len(row))))
+        lead = next(c for c, x in enumerate(r) if x)
+        for c, b in basis.items():
+            if b[lead]:
+                basis[c] = _divide_gcd(_reduce(b, {lead: r}, range(len(b))))
+        basis[lead] = r
+        free.remove(lead)
+    return len(basis)
 
 
 def primitive_oriented(v: Sequence[Fraction]) -> Vec:
@@ -132,7 +180,7 @@ class QMatrix:
         return m, pivots
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        return integer_rank(clear_denominators(self.row(i)) for i in range(self.nrows))
 
     def det(self) -> Fraction:
         if self.nrows != self.ncols:

@@ -281,3 +281,14 @@ def test_exit_status_matches_payload_checks(capsys):
     for argv in cases:
         code, payload, _ = run_json(capsys, *argv)
         assert (code == 0) == all(c["pass"] for c in payload["checks"]), argv
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--m-max", "0"), ("--alpha-max", "-1"), ("--beta-max", "-1")]
+)
+def test_bpf_empty_grid_is_a_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bpf", "--genus", "3", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty bpf grid" in captured.err

@@ -298,3 +298,11 @@ def test_certificate_json_schema():
     assert all(c["pass"] for c in payload["checks"])
     gens = payload["generators"]
     assert gens[0][0] == "1" and gens[1][0] == "12"
+
+
+def test_face_of_attaches_lemma_matrix_only_to_its_face():
+    cone = fnef_cone(4)
+    for point in (lambda_class(4), zero_divisor(4), from_coeffs(4, [100, 1, 1, 1])):
+        cert = face_of(cone, point)
+        assert cert.det is None and cert.lemma_mat is None
+    assert face_of(cone, from_coeffs(4, [13, 1, 0, 0])).det == lemma_matrix(4).det()

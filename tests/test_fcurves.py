@@ -21,6 +21,7 @@ from mgnef import (
     is_fnef,
     lambda_class,
     numerical_classes,
+    primitive,
     twelve_lambda_minus_delta0,
 )
 from helpers import rand_divisor
@@ -214,3 +215,60 @@ def test_is_fnef_minimal_witness():
     for rec in numerical_classes(8):
         if rec.curve.sort_key < witness.sort_key:
             assert intersect(d, rec.curve) >= 0
+
+
+# -- the integer class table against a Fraction reference -------------------------
+
+
+def oracle_vector(c):
+    """(lambda . C, delta_0 . C, ...) from the six formulas written out here."""
+    g, idx = c.ctx.g, c.indices
+    h = g // 2
+    out = [Fraction(0)] * (h + 2)
+
+    def b(k, coeff):  # coeff * b_k in D . C, where b_k = -(delta_k coefficient)
+        out[1 + min(k, g - k)] -= coeff
+
+    if c.family == "C1":
+        out[0] += Fraction(1, 12)
+        b(0, -1)
+        b(1, Fraction(1, 12))
+    elif c.family == "C2":
+        b(0, 1)
+    elif c.family == "C3":
+        b(idx[0], 1)
+    elif c.family == "C4":
+        b(0, 2)
+        b(idx[0] + 1, -1)
+    elif c.family == "C5":
+        i, j = idx
+        for k, coeff in ((i, 1), (j, 1), (i + j, -1)):
+            b(k, coeff)
+    else:
+        i, j, k, l = idx
+        for m, coeff in ((i, 1), (j, 1), (k, 1), (l, 1), (i + j, -1), (i + k, -1), (i + l, -1)):
+            b(m, coeff)
+    return tuple(out)
+
+
+def test_class_table_matches_fraction_reference():
+    for g in range(3, 41):
+        groups = {}
+        for c in enumerate_fcurves_raw(g):
+            vector = intersection_vector(c)
+            if g <= 12:
+                assert vector == oracle_vector(c), c.tag
+            groups.setdefault(vector, []).append(c)
+        reference = sorted(
+            ((sorted(members, key=lambda c: c.sort_key), vector)
+             for vector, members in groups.items()),
+            key=lambda item: item[0][0].sort_key,
+        )
+        records = numerical_classes(g)
+        assert len(records) == len(reference), g
+        for rec, (members, vector) in zip(records, reference):
+            assert rec.curve == members[0]
+            assert rec.tags == tuple(c.tag for c in members)
+            assert rec.vector == vector
+            assert primitive(ineq_row(rec.curve)) == rec.row
+            assert all(type(x) is int for x in rec.row)

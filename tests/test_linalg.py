@@ -9,8 +9,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgnef import NonSquareError, QMatrix, dot, primitive, primitive_oriented, vec
+from mgnef.linalg import clear_denominators, integer_rank
 from helpers import rand_matrix_rows
 
 # -- independent oracles ------------------------------------------------------
@@ -171,3 +175,37 @@ def test_primitive():
 def test_dot_length_mismatch():
     with pytest.raises(ValueError):
         dot(vec([1, 2]), vec([1, 2, 3]))
+
+
+# -- fraction-free rank against sympy ----------------------------------------------
+
+SMALL = st.integers(-2, 2).map(Fraction)
+LARGE = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 10**15))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rows of rationals, small and large, followed by zero rows, repeated
+    rows and rational multiples of rows; often more rows than columns."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(SMALL, LARGE)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=3 * ncols))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "multiple")), max_size=4)):
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        else:
+            c = Fraction(1) if kind == "repeat" else draw(LARGE.filter(bool))
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rational_matrices())
+def test_fraction_free_rank_matches_sympy(rows):
+    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows]).rank()
+    got = QMatrix.from_rows(rows).rank()
+    assert type(got) is int and got == want
+    direct = integer_rank(clear_denominators(r) for r in rows)
+    assert type(direct) is int and direct == want
