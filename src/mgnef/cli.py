@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit status: 0 when the requested checks pass, 1 when a check fails or a
-domain error occurs, 2 for usage and parse errors.  All rational numbers
-in JSON output are strings like ``5/3`` in lowest terms.
+domain error occurs, 2 for usage and parse errors and for an --output
+file that cannot be written.  All rational numbers in JSON output are
+strings like ``5/3`` in lowest terms.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .cones import extreme_rays, fnef_cone, verify_extremal_face
+from .cones import DEFAULT_DIM_LIMIT, extreme_rays, fnef_cone, verify_extremal_face
 from .divisors import GenusContext, parse_divisor
 from .errors import CertificateFailure, MgnefError, ParseError
 from .fcurves import FORMULAS, is_fnef, numerical_classes
 from .torelli import (
+    MODELS,
     bpf_scan,
     classify_in_face,
     get_model,
@@ -250,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "text"), genus_required=True):
-        p.add_argument("--genus", "-g", type=int, required=genus_required,
+    def common(p, formats=("json", "text")):
+        p.add_argument("--genus", "-g", type=int, required=True,
                        help="genus of the moduli space")
         p.add_argument("--format", choices=formats, default="text",
                        help="output format")
@@ -276,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rays", help="extreme rays of the F-nef cone")
     common(p)
-    p.add_argument("--limit", type=int, default=8,
-                   help="dimension limit for ray enumeration (default 8)")
+    p.add_argument("--limit", type=int, default=DEFAULT_DIM_LIMIT,
+                   help=f"dimension limit for ray enumeration (default {DEFAULT_DIM_LIMIT})")
     p.set_defaults(func=cmd_rays)
 
     p = sub.add_parser("pullback", help="pull a divisor back through the Torelli map")
     common(p)
-    p.add_argument("--model", required=True, choices=("satake", "partial", "perfect"))
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--divisor", required=True, help="expression like '13*M - 1*D'")
     p.set_defaults(func=cmd_pullback)
 
@@ -303,7 +305,7 @@ def main(argv=None) -> int:
         parser.error("empty bpf grid: need --m-max >= 1, --alpha-max >= 0 and --beta-max >= 0")
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:  # OSError: --output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MgnefError as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import (
@@ -236,104 +237,99 @@ def linear_combination(terms: Sequence[tuple], ctx=None) -> DivisorClass:
 # -- parsing ----------------------------------------------------------------
 
 
-class _DivisorParser:
-    """Recursive descent over ``a*L - b0*d0 - ...`` with named shorthands."""
+def _read_int(text: str, pos: int) -> tuple[int, int]:
+    """The decimal number starting at pos, and the position after it."""
+    end = pos
+    while end < len(text) and text[end].isdecimal():
+        end += 1
+    if end == pos:
+        raise ParseError("expected a number", pos)
+    if end - pos > 4300:  # CPython's default int/str limit, on every version
+        raise ParseError("number longer than 4300 digits", pos)
+    return int(text[pos:end]), end
 
-    def __init__(self, text: str, ctx: GenusContext):
-        self.text = text
-        self.ctx = ctx
-        self.pos = 0
 
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.pos)
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+def _parse_linear(text: str, dim: int, atom, what: str) -> list[Fraction]:
+    """Coefficient vector of ``[+|-] term ([+|-] term)*`` over a basis.
 
-    def take(self, literal: str) -> bool:
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def parse_int(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a number")
-        return int(self.text[start : self.pos])
-
-    def parse_rational(self) -> Fraction:
-        num = self.parse_int()
-        if self.take("/"):
-            den = self.parse_int()
-            if den == 0:
-                raise self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_atom(self) -> DivisorClass:
-        self.skip_ws()
-        if self.take("12L-d0"):
-            return twelve_lambda_minus_delta0(self.ctx)
-        if self.take("lambda") or self.take("L"):
-            return lambda_class(self.ctx)
-        if self.take("Delta"):
-            return boundary_total(self.ctx)
-        if self.take("K"):
-            return canonical_class(self.ctx)
-        if self.take("d"):
-            k = self.parse_int()
-            return delta(self.ctx, k)
-        raise self.error("expected a divisor name")
-
-    def parse_term(self) -> DivisorClass:
-        self.skip_ws()
-        start = self.pos
-        # the 12L-d0 shorthand starts with a digit, so try it before numbers
-        if self.take("12L-d0"):
-            return twelve_lambda_minus_delta0(self.ctx)
-        if self.pos < len(self.text) and self.text[self.pos].isdigit():
-            coeff = self.parse_rational()
-            self.skip_ws()
-            if self.take("*"):
-                return self.parse_atom().scale(coeff)
-            # a bare number is only meaningful as the zero divisor
-            if coeff == 0:
-                return zero_divisor(self.ctx)
-            self.pos = start
-            raise self.error("bare constant in a divisor expression")
-        return self.parse_atom()
-
-    def parse(self) -> DivisorClass:
-        self.skip_ws()
-        if self.at_end():
-            raise self.error("empty divisor expression")
-        negate = False
-        if self.take("-"):
-            negate = True
-        elif self.take("+"):
-            pass
-        total = self.parse_term()
-        if negate:
-            total = -total
-        while not self.at_end():
-            self.skip_ws()
-            if self.take("+"):
-                total = total + self.parse_term()
-            elif self.take("-"):
-                total = total - self.parse_term()
+    A term is a name, ``p/q * name`` or a bare ``0``.  ``atom(pos)`` returns
+    the nonzero coordinates, as (index, value) pairs, of the name at pos and
+    the position after it, or None; it runs before numbers are read, so a
+    name may start with a digit.  ``what`` describes the names in errors.
+    """
+    total = [Fraction(0)] * dim
+    pos = _skip_ws(text, 0)
+    if pos == len(text):
+        raise ParseError("empty divisor expression", pos)
+    while pos < len(text):
+        sign = -1 if text[pos] == "-" else 1
+        if text[pos] in "+-":
+            pos = _skip_ws(text, pos + 1)
+        hit = atom(pos)
+        if hit is None and text[pos : pos + 1].isdecimal():
+            start = pos
+            coeff, pos = _read_int(text, pos)
+            if text.startswith("/", pos):
+                den, end = _read_int(text, pos + 1)
+                if den == 0:
+                    raise ParseError("zero denominator", pos + 1)
+                coeff, pos = Fraction(coeff, den), end
+            pos = _skip_ws(text, pos)
+            if text.startswith("*", pos):
+                pos = _skip_ws(text, pos + 1)
+                hit = atom(pos)
+            elif not coeff:
+                hit = (), pos  # a bare 0 adds nothing
+            elif pos < len(text) and text[pos] not in "+-":
+                raise ParseError("expected '*' after the coefficient", pos)
             else:
-                raise self.error("expected '+' or '-'")
-        return total
+                raise ParseError("bare constant in a divisor expression", start)
+            sign *= coeff
+        if hit is None:
+            raise ParseError(f"expected {what}", pos)
+        coords, pos = hit
+        for i, x in coords:
+            total[i] += sign * x
+        pos = _skip_ws(text, pos)
+        if pos < len(text) and text[pos] not in "+-":
+            raise ParseError("expected '+' or '-'", pos)
+    return total
+
+
+# shorthands in matching order; "12L-d0" is tried before numbers
+_SHORTHANDS = (
+    ("12L-d0", twelve_lambda_minus_delta0),
+    ("lambda", lambda_class),
+    ("L", lambda_class),
+    ("Delta", boundary_total),
+    ("K", canonical_class),
+)
+
+
+@lru_cache(maxsize=None)
+def _coeffs(make, ctx: GenusContext, *args) -> tuple[tuple[int, Fraction], ...]:
+    """Nonzero coordinates (index, value) of a named class, built once per genus."""
+    return tuple((i, x) for i, x in enumerate(make(ctx, *args).coeffs()) if x)
 
 
 def parse_divisor(text: str, ctx) -> DivisorClass:
     """Parse ``a*L - b0*d0 - ...`` (shorthands: lambda, 12L-d0, K, Delta, 0)."""
-    return _DivisorParser(text, as_context(ctx)).parse()
+    ctx = as_context(ctx)
+
+    def atom(pos):
+        for name, make in _SHORTHANDS:
+            if text.startswith(name, pos):
+                return _coeffs(make, ctx), pos + len(name)
+        if text.startswith("d", pos):
+            k, end = _read_int(text, pos + 1)
+            return _coeffs(delta, ctx, reflect_index(k, ctx.g)), end
+        return None
+
+    v = _parse_linear(text, ctx.dim, atom, "a divisor name")
+    return DivisorClass(ctx, v[0], tuple(v[1:]))

@@ -22,6 +22,7 @@ from typing import Sequence
 from .cones import PolyCone, extreme_rays
 from .divisors import (
     DivisorClass,
+    _parse_linear,
     as_context,
     boundary_total,
     canonical_class,
@@ -29,7 +30,7 @@ from .divisors import (
     face_member,
     lambda_class,
 )
-from .errors import ModelMismatchError, ParseError
+from .errors import ModelMismatchError
 from .fcurves import FCurve, intersect
 
 
@@ -128,78 +129,19 @@ class AbelianDivisor:
         }
 
 
+# nonzero coordinates of (a, b) in a*M - b*D, so D stores b = -1
+_BASIS = {"M": ((0, 1),), "D": ((1, -1),)}
+
+
 def parse_abelian(text: str, model_name: str) -> AbelianDivisor:
     """Parse ``a*M - b*D`` (either term optional, rationals as p/q)."""
-    model = get_model(model_name)
-    coeffs = {"M": Fraction(0), "D": Fraction(0)}
-    pos = 0
-    n = len(text)
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
+    def atom(pos):
+        coords = _BASIS.get(text[pos : pos + 1])
+        return None if coords is None else (coords, pos + 1)
 
-    def read_rational() -> Fraction:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected a number", pos)
-        num = int(text[start:pos])
-        if pos < n and text[pos] == "/":
-            pos += 1
-            dstart = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if pos == dstart:
-                raise ParseError("expected a denominator", pos)
-            den = int(text[dstart:pos])
-            if den == 0:
-                raise ParseError("zero denominator", dstart)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    skip_ws()
-    if pos >= n:
-        raise ParseError("empty divisor expression", pos)
-    first = True
-    while True:
-        skip_ws()
-        if pos >= n:
-            break
-        sign = Fraction(1)
-        if text[pos] == "-":
-            sign = Fraction(-1)
-            pos += 1
-        elif text[pos] == "+":
-            pos += 1
-        elif not first:
-            raise ParseError("expected '+' or '-'", pos)
-        skip_ws()
-        coeff = Fraction(1)
-        if pos < n and text[pos].isdigit():
-            coeff = read_rational()
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-            elif coeff == 0 and (pos >= n or text[pos] in "+-"):
-                first = False
-                continue
-            else:
-                raise ParseError("expected '*' after the coefficient", pos)
-        if pos >= n or text[pos] not in "MD":
-            raise ParseError("expected basis class M or D", pos)
-        label = text[pos]
-        pos += 1
-        coeffs[label] += sign * coeff
-        first = False
-    if coeffs["D"] != 0 and model.picard_rank == 1:
-        raise ModelMismatchError(f"model {model.name!r} has no D class")
-    # the expression a*M - b*D stores b with the sign flipped
-    return AbelianDivisor(model.name, coeffs["M"], -coeffs["D"])
+    # the model is checked by AbelianDivisor, which also refuses D at rank 1
+    return AbelianDivisor(model_name, *_parse_linear(text, 2, atom, "basis class M or D"))
 
 
 def basis_images(model: CompactificationModel, ctx) -> tuple[DivisorClass, ...]:

@@ -257,6 +257,28 @@ def test_output_file(tmp_path, capsys):
     assert payload["count"] == 3
 
 
+def test_unwritable_output_exit2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "rays", "--genus", "3", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(target) in err and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--genus", "8", "--divisor", "1" * 5000 + "*L"),
+        ("check", "--genus", "8", "--divisor", "d" + "1" * 5000),
+        ("pullback", "--genus", "8", "--model", "perfect", "--divisor", "1" * 5000 + "*M"),
+    ],
+)
+def test_number_too_long_exit2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: number longer than 4300 digits") and err.count("\n") == 1
+
+
 def test_usage_errors_exit2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

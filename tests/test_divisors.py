@@ -168,8 +168,19 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as exc:
         parse_divisor("5", g)
     assert exc.value.position == 0
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_divisor("1/0*L", g)
+    assert exc.value.position == 2  # the denominator's first digit
+    # past CPython's int/str digit limit: refused at the number's first digit
+    with pytest.raises(ParseError) as exc:
+        parse_divisor("1" * 5000 + "*L", g)
+    assert exc.value.position == 0
+    with pytest.raises(ParseError) as exc:
+        parse_divisor("L - d" + "1" * 5000, g)
+    assert exc.value.position == 5
+    with pytest.raises(ParseError) as exc:
+        parse_divisor("\u00b2*L", g)  # superscript two: a digit, but not a decimal one
+    assert exc.value.position == 0
     with pytest.raises(ParseError):
         parse_divisor("L L", g)
     with pytest.raises(ParseError):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgnef import (
     PERFECT,
@@ -105,12 +107,23 @@ def test_parse_abelian():
 
 @pytest.mark.parametrize(
     "text,position",
-    [("", 0), ("3M", 1), ("M M", 2), ("Q", 0), ("1/0*M", 2), ("3*", 2), ("+", 1)],
+    [("", 0), ("3M", 1), ("M M", 2), ("Q", 0), ("1/0*M", 2), ("3*", 2), ("+", 1),
+     pytest.param("1" * 5000 + "*M", 0, id="5000-digits")],
 )
 def test_parse_abelian_error_positions(text, position):
     with pytest.raises(ParseError) as exc:
         parse_abelian(text, "perfect")
     assert exc.value.position == position
+
+
+RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(MODELS)), RATIONALS, RATIONALS)
+def test_abelian_expr_roundtrip(model, a, b):
+    x = AbelianDivisor(model, a, 0 if model == "satake" else b)
+    assert parse_abelian(x.to_expr(), model) == x
 
 
 # -- pullback -------------------------------------------------------------------
