@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit status: 0 when the requested checks pass, 1 when a check fails or a
-domain error occurs, 2 for usage and parse errors and for an --output
-file that cannot be written.  All rational numbers in JSON output are
+domain error occurs, 2 for usage and parse errors, for a result with a
+number longer than 4300 digits and for an --output file that cannot be
+written.  All rational numbers in JSON output are
 strings like ``5/3`` in lowest terms.
 """
 
@@ -60,6 +61,16 @@ def _table_rows(latex: bool = False) -> list[tuple[str, str, str, str]]:
         twelve = 12 * lam + Fraction(coeff.get("b0", 0), 12)
         rows.append((label, _formula(terms, latex), _number(lam, latex), _number(twelve, latex)))
     return rows
+
+
+class _TooLong(Exception):
+    """A result with a number over the parser's 4300-digit input cap, which
+    Python 3.11+ cannot print; it is refused on every version."""
+
+
+def _printable(*numbers) -> None:
+    if any(x is not None and max(abs(x.numerator), x.denominator) >= 10**4300 for x in numbers):
+        raise _TooLong("result has a number longer than 4300 digits")
 
 
 def _emit(payload: dict, human: str, args) -> None:
@@ -130,6 +141,7 @@ def cmd_check(args) -> int:
     d = parse_divisor(args.divisor, g)
     ok, witness = is_fnef(d)
     cls = classify_in_face(d)
+    _printable(*d.coeffs(), cls.alpha, cls.beta, cls.epsilon)
     status = semiample_status(d)
     payload = {
         "command": "check",
@@ -200,6 +212,7 @@ def cmd_pullback(args) -> int:
     model = get_model(args.model)
     adiv = parse_abelian(args.divisor, args.model)
     image = pullback(model, adiv, g)
+    _printable(*adiv.coeffs(), *image.coeffs())
     model_nef = model.nef_cone().contains(adiv.coeffs())
     ok, witness = is_fnef(image)
     cls = classify_in_face(image)
@@ -305,7 +318,7 @@ def main(argv=None) -> int:
         parser.error("empty bpf grid: need --m-max >= 1, --alpha-max >= 0 and --beta-max >= 0")
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:  # OSError: --output cannot be written
+    except (ParseError, _TooLong, OSError) as exc:  # OSError: --output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MgnefError as exc:

@@ -33,14 +33,13 @@ from .linalg import (
     clear_denominators,
     dot,
     integer_rank,
-    is_zero_vec,
     primitive,
     vec,
-    vec_scale,
-    vec_sub,
 )
 
 DEFAULT_DIM_LIMIT = 8
+
+_Row = tuple[int, ...]  # an inequality row or a ray, in primitive integer form
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,9 @@ class PolyCone:
     """
 
     dim: int
-    ineq_rows: tuple[Vec, ...] = ()
+    ineq_rows: tuple[_Row, ...] = ()
     labels: tuple[str, ...] = ()
-    generators: tuple[Vec, ...] | None = None
+    generators: tuple[_Row, ...] | None = None
     genus: int | None = None
 
     def __post_init__(self):
@@ -103,7 +102,7 @@ def fnef_cone(g) -> PolyCone:
     """H-rep of the F-nef cone: one inequality per numerical F-curve class."""
     ctx = as_context(g)
     classes = numerical_classes(ctx)
-    rows = tuple(vec(rec.row) for rec in classes)
+    rows = tuple(rec.row for rec in classes)
     labels = tuple(rec.curve.tag for rec in classes)
     return PolyCone(ctx.dim, rows, labels, None, ctx.g)
 
@@ -170,18 +169,18 @@ def nonneg_combination(
 # -- extreme rays (double description) ---------------------------------------
 
 
-def _rank_of(rows: Sequence[Vec]) -> int:
+def _rank_of(rows: Sequence[Sequence[int]]) -> int:
     return QMatrix.from_rows([list(r) for r in rows]).rank() if rows else 0
 
 
-def _adjacent(A: Sequence[Vec], processed: Sequence[int], r1: Vec, r2: Vec, d: int) -> bool:
+def _adjacent(A: Sequence[_Row], processed: Sequence[int], r1: _Row, r2: _Row, d: int) -> bool:
     common = [A[i] for i in processed if dot(A[i], r1) == 0 and dot(A[i], r2) == 0]
     return _rank_of(common) == d - 2
 
 
-def _dd_extreme_rays(A: Sequence[Vec], d: int) -> list[Vec]:
+def _dd_extreme_rays(A: Sequence[_Row], d: int) -> list[_Row]:
     """Double description run over inequality rows of full rank d."""
-    chosen: list[Vec] = []
+    chosen: list[_Row] = []
     chosen_idx: list[int] = []
     for i, row in enumerate(A):
         if _rank_of(chosen + [row]) > len(chosen):
@@ -206,14 +205,13 @@ def _dd_extreme_rays(A: Sequence[Vec], d: int) -> list[Vec]:
         for rp in pos:
             for rn in neg:
                 if _adjacent(A, processed, rp, rn, d):
-                    comb = vec_sub(vec_scale(vals[rp], rn), vec_scale(vals[rn], rp))
-                    new.add(primitive(comb))
+                    new.add(primitive([vals[rp] * n - vals[rn] * p for p, n in zip(rp, rn)]))
         processed.append(i)
         rays = sorted(new)
     return rays
 
 
-def extreme_rays(cone: PolyCone, limit: int = DEFAULT_DIM_LIMIT) -> list[Vec]:
+def extreme_rays(cone: PolyCone, limit: int = DEFAULT_DIM_LIMIT) -> list[_Row]:
     """Primitive extreme rays, sorted lexicographically.
 
     H-rep cones run double description (pointed cones only, dimension at
@@ -229,10 +227,10 @@ def extreme_rays(cone: PolyCone, limit: int = DEFAULT_DIM_LIMIT) -> list[Vec]:
             raise NotPointedError("inequality rows do not have full rank")
         return _dd_extreme_rays(list(cone.ineq_rows), cone.dim)
     if cone.generators is not None:
-        gens: list[Vec] = []
+        gens: list[_Row] = []
         for g in cone.generators:
             p = primitive(g)
-            if not is_zero_vec(p) and p not in gens:
+            if any(p) and p not in gens:
                 gens.append(p)
         out = []
         for i, g0 in enumerate(gens):
@@ -259,7 +257,7 @@ class FaceCertificate:
 
     genus: int | None
     face_dim: int
-    generators: tuple[Vec, ...] | None
+    generators: tuple[_Row, ...] | None
     active_curves: tuple[str, ...]
     active_rank: int
     lemma_mat: QMatrix | None
@@ -307,7 +305,7 @@ def face_of(cone: PolyCone, point, limit: int = DEFAULT_DIM_LIMIT) -> FaceCertif
     active_rows = [cone.ineq_rows[i] for i in active_idx]
     active_rank = _rank_of(active_rows)
     face_dim = cone.dim - active_rank
-    gens: tuple[Vec, ...] | None
+    gens: tuple[_Row, ...] | None
     if face_dim == 0:
         gens = ()
     elif not active_rows:
@@ -321,20 +319,14 @@ def face_of(cone: PolyCone, point, limit: int = DEFAULT_DIM_LIMIT) -> FaceCertif
         restricted = []
         for row in cone.ineq_rows:
             rr = tuple(dot(row, kv) for kv in span)
-            if not is_zero_vec(rr):
+            if any(rr):
                 restricted.append(primitive(rr))
         if f > limit or _rank_of(restricted) < f:
             gens = None
         else:
             sub = _dd_extreme_rays(restricted, f) if restricted else []
-            back = []
-            for y in sub:
-                full = tuple(
-                    sum((c * kv[t] for c, kv in zip(y, span)), Fraction(0))
-                    for t in range(cone.dim)
-                )
-                back.append(primitive(full))
-            gens = tuple(sorted(back))
+            lift = QMatrix.from_rows(span).transpose()
+            gens = tuple(sorted(primitive(lift.matvec(y)) for y in sub))
     # the lemma matrix certifies only the face spanned by lambda and
     # 12*lambda - delta_0
     mat = det = None

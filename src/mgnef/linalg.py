@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on tuples of ``fractions.Fraction`` or ``int`` and
-never touches floating point.  Pivot selection is deterministic: the first
-nonzero entry in row order wins, so results are reproducible across runs
-and machines.  Rank runs on integers only, through ``integer_rank``.
+never touches floating point.  One fraction-free echelon, ``_echelon``,
+serves rank, kernel, inverse and solve: it clears each row's denominators
+and reduces the integer rows to a reduced echelon basis, unique up to row
+scaling, so results are reproducible across runs and machines.  The
+determinant is the only other elimination.
 """
 
 from __future__ import annotations
@@ -22,25 +24,13 @@ def vec(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction | int:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(a * b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
-
-
-def is_zero_vec(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
-
-
-def clear_denominators(v: Sequence[Fraction]) -> tuple[int, ...]:
+def clear_denominators(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     """The vector times the lcm of its denominators, as ints.
 
     The scale is positive, so every sign and every zero is kept.
@@ -49,13 +39,13 @@ def clear_denominators(v: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(a.numerator * (denom // a.denominator) for a in v)
 
 
-def primitive(v: Sequence[Fraction]) -> Vec:
+def primitive(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale by a positive rational to integer entries with gcd 1.
 
     Positive scaling only, so the direction of the vector is preserved.
     The zero vector maps to itself.
     """
-    return tuple(Fraction(n) for n in _divide_gcd(clear_denominators(v)))
+    return tuple(_divide_gcd(clear_denominators(v)))
 
 
 def _divide_gcd(v: Sequence[int]) -> list[int]:
@@ -79,16 +69,18 @@ def _reduce(row: Sequence[int], basis: dict[int, list[int]], cols: Sequence[int]
     return out
 
 
-def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def _echelon(rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
+    """Reduced echelon basis of the row space of an integer matrix, as a
+    map from pivot column to row, by fraction-free elimination.
 
-    The basis is kept in reduced echelon form with each row divided by the
-    gcd of its entries (the gcd variant of Bareiss's integer-preserving
-    elimination).  A row is in the span exactly when its reduction vanishes
-    on the non-pivot columns, so only those are computed for it unless it
-    adds a pivot.
+    Each basis row is zero before its pivot and at every other pivot, and
+    is divided by the gcd of its entries (the gcd variant of Bareiss's
+    integer-preserving elimination), so the basis is the reduced row
+    echelon form up to row scaling.  A row is in the span exactly when
+    its reduction vanishes on the non-pivot columns, so only those are
+    computed for it unless it adds a pivot.
     """
-    basis: dict[int, list[int]] = {}  # pivot column -> row
+    basis: dict[int, list[int]] = {}
     free: list[int] = []
     for n, row in enumerate(rows):
         if not n:
@@ -102,10 +94,15 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
                 basis[c] = _divide_gcd(_reduce(b, {lead: r}, range(len(b))))
         basis[lead] = r
         free.remove(lead)
-    return len(basis)
+    return basis
 
 
-def primitive_oriented(v: Sequence[Fraction]) -> Vec:
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix."""
+    return len(_echelon(rows))
+
+
+def primitive_oriented(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Primitive form with the first nonzero entry made positive."""
     p = primitive(v)
     for a in p:
@@ -157,30 +154,8 @@ class QMatrix:
     def matvec(self, v: Sequence[Fraction]) -> Vec:
         return tuple(dot(self.row(i), v) for i in range(self.nrows))
 
-    def _rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        m = [list(self.row(i)) for i in range(self.nrows)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            p = next((i for i in range(r, self.nrows) if m[i][c] != 0), None)
-            if p is None:
-                continue
-            m[r], m[p] = m[p], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [inv * x for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return m, pivots
-
     def rank(self) -> int:
-        return integer_rank(clear_denominators(self.row(i)) for i in range(self.nrows))
+        return len(_echelon(map(clear_denominators, self.rows())))
 
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -203,40 +178,35 @@ class QMatrix:
 
     def kernel_basis(self) -> list[Vec]:
         """Basis of the right kernel, one vector per free column."""
-        m, pivots = self._rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis: list[Vec] = []
-        for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -m[r][f]
-            basis.append(tuple(v))
-        return basis
+        basis = _echelon(map(clear_denominators, self.rows()))
+        return [
+            tuple(Fraction(-basis[c][f], basis[c][c]) if c in basis else Fraction(c == f)
+                  for c in range(self.ncols))
+            for f in range(self.ncols) if f not in basis
+        ]
 
     def inverse(self) -> "QMatrix":
         if self.nrows != self.ncols:
             raise NonSquareError(f"{self.nrows}x{self.ncols} matrix has no inverse")
         n = self.nrows
-        aug = QMatrix.from_rows(
-            [list(self.row(i)) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-        )
-        m, pivots = aug._rref()
-        if pivots[:n] != list(range(n)):
+        eye = QMatrix.identity(n).rows()
+        basis = _echelon(clear_denominators(r + e) for r, e in zip(self.rows(), eye))
+        if any(c >= n for c in basis):
             raise ZeroDivisionError("matrix is singular")
-        return QMatrix.from_rows([r[n:] for r in m])
+        return QMatrix.from_rows(
+            [[Fraction(x, basis[i][i]) for x in basis[i][n:]] for i in range(n)]
+        )
 
     def solve(self, b: Sequence[Fraction]) -> Vec | None:
-        """One solution of ``A x = b``, or None when inconsistent."""
+        """One solution of ``A x = b``, or None when inconsistent.
+
+        The solution is zero at every non-pivot column."""
         if len(b) != self.nrows:
             raise ValueError("right hand side has the wrong length")
-        aug = QMatrix.from_rows(
-            [list(self.row(i)) + [Fraction(b[i])] for i in range(self.nrows)]
-        )
-        m, pivots = aug._rref()
-        if self.ncols in pivots:
+        basis = _echelon(clear_denominators(r + (Fraction(x),)) for r, x in zip(self.rows(), b))
+        if self.ncols in basis:
             return None
         x = [Fraction(0)] * self.ncols
-        for r, c in enumerate(pivots):
-            x[c] = m[r][self.ncols]
+        for c, r in basis.items():
+            x[c] = Fraction(r[self.ncols], r[c])
         return tuple(x)

@@ -279,6 +279,29 @@ def test_number_too_long_exit2(capsys, argv):
     assert err.startswith("error: number longer than 4300 digits") and err.count("\n") == 1
 
 
+NINES = "9" * 4300  # the longest number the parser reads
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--genus", "8", "--divisor", f"{NINES}*L + {NINES}*L"),
+        ("check", "--genus", "8", "--divisor", f"{NINES}*L - 1/{NINES}*d0"),  # epsilon
+        ("pullback", "--genus", "8", "--model", "perfect", "--divisor", f"{NINES}*M + {NINES}*M"),
+    ],
+)
+def test_result_too_long_exit2(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: result has a number longer than 4300 digits\n"
+
+
+def test_result_at_the_digit_cap_is_printed(capsys):
+    code, payload, _ = run_json(capsys, "check", "--genus", "8", "--divisor", f"{NINES}*L - d0")
+    assert code == 0 and payload["divisor"]["a"] == NINES and payload["alpha"] == str(int(NINES) - 12)
+
+
 def test_usage_errors_exit2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

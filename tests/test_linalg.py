@@ -177,7 +177,7 @@ def test_dot_length_mismatch():
         dot(vec([1, 2]), vec([1, 2, 3]))
 
 
-# -- fraction-free rank against sympy ----------------------------------------------
+# -- fraction-free echelon against sympy -------------------------------------------
 
 SMALL = st.integers(-2, 2).map(Fraction)
 LARGE = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 10**15))
@@ -200,12 +200,44 @@ def rational_matrices(draw):
     return rows
 
 
+def _sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(rational_matrices())
 def test_fraction_free_rank_matches_sympy(rows):
-    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
-                         for r in rows]).rank()
+    want = _sympy(rows).rank()
     got = QMatrix.from_rows(rows).rank()
     assert type(got) is int and got == want
     direct = integer_rank(clear_denominators(r) for r in rows)
     assert type(direct) is int and direct == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rational_matrices(), st.data())
+def test_kernel_inverse_solve_match_sympy(rows, data):
+    mat, ref = QMatrix.from_rows(rows), _sympy(rows)
+    assert mat.kernel_basis() == [tuple(v) for v in ref.nullspace()]
+
+    square = rows[-mat.ncols:]
+    if len(square) == mat.ncols:
+        ref_square = _sympy(square)
+        if ref_square.det() == 0:
+            with pytest.raises(ZeroDivisionError):
+                QMatrix.from_rows(square).inverse()
+        else:
+            assert QMatrix.from_rows(square).inverse() == QMatrix.from_rows(ref_square.inv().tolist())
+
+    # half the right hand sides are images A x, so consistent by construction
+    if data.draw(st.booleans()):
+        b = mat.matvec(data.draw(st.lists(SMALL, min_size=mat.ncols, max_size=mat.ncols)))
+    else:
+        b = tuple(data.draw(st.lists(SMALL, min_size=mat.nrows, max_size=mat.nrows)))
+    x = mat.solve(b)
+    consistent = ref.row_join(_sympy([[y] for y in b])).rank() == ref.rank()
+    assert (x is not None) == consistent
+    if consistent:
+        assert mat.matvec(x) == b
+        pivots = ref.rref()[1]
+        assert all(x[c] == 0 for c in range(mat.ncols) if c not in pivots)
