@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from mgnef import cli
 from mgnef.cli import main
+from mgnef.fcurves import _classes_cached
 from helpers import assert_no_floats, assert_rational_strings_canonical
 
 
@@ -242,6 +244,49 @@ def test_bpf_small_grid_text(capsys):
     )
     assert code == 0
     assert "8 grid points" in out and out.count("pass") == 2
+
+
+HUGE = "99999999999999999999999"
+
+
+@pytest.mark.parametrize("flag", ["--m-max", "--alpha-max", "--beta-max"])
+def test_bpf_grid_over_the_cap_is_refused_before_it_is_built(capsys, monkeypatch, flag):
+    def fail(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli, "range", fail, raising=False)  # shadows the builtin in cmd_bpf
+    monkeypatch.setattr(cli, "bpf_scan", fail)
+    code, out, err = run(capsys, "bpf", "--genus", "5", flag, HUGE)
+    assert code == 1 and out == ""
+    assert err.startswith("error: bpf grid too large") and err.count("\n") == 1
+
+
+def test_bpf_grid_at_the_cap_is_scanned(capsys, monkeypatch):
+    class Scanned(Exception):
+        pass
+
+    def scan(*args):
+        raise Scanned
+
+    monkeypatch.setattr(cli, "bpf_scan", scan)
+    # 10 * 50 * 50 grid points times 4 C3 curves at genus 6 is exactly the cap
+    argv = ["bpf", "--genus", "6", "--m-max", "10", "--alpha-max", "49", "--beta-max", "49"]
+    with pytest.raises(Scanned):
+        main(argv)
+    argv[-1] = "50"
+    assert run(capsys, *argv)[0] == 1
+
+
+# -- rays -------------------------------------------------------------------------
+
+
+def test_rays_over_the_dimension_limit_builds_no_class_table(capsys):
+    before = _classes_cached.cache_info()
+    code, out, err = run(capsys, "rays", "--genus", "160")
+    assert code == 1 and out == ""
+    assert err == "error: dimension 82 exceeds the ray enumeration limit 8\n"
+    after = _classes_cached.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 # -- plumbing ---------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Cone engine: double description vs brute force, exact LP, certificates."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +217,28 @@ def test_face_of_above_ray_limit_reports_none():
         tuple([1, 0, 0, 0, 0, 0, 0, 0, 0]),
         tuple([12, 1, 0, 0, 0, 0, 0, 0, 0]),
     )
+
+
+def test_face_of_not_pointed_reports_none_wherever_the_point_lies():
+    cone = PolyCone.from_inequalities([[1, 0]])  # a half-plane contains a line
+    interior = face_of(cone, [1, 0])
+    assert interior.face_dim == 2 and interior.generators is None
+    boundary = face_of(cone, [0, 5])
+    assert boundary.face_dim == 1 and boundary.generators is None
+
+
+FACE_GOLDEN = Path(__file__).parent / "data" / "face_of-g3-6.json"
+
+
+def test_face_of_matches_golden():
+    """Every F-nef ray, every sum of two rays and the sum of all rays at
+    g = 3..6, recorded from the code before face_of ran through
+    extreme_rays for every face."""
+    records = json.loads(FACE_GOLDEN.read_text(encoding="utf-8"))
+    assert len(records) == 68
+    cones = {g: fnef_cone(g) for g in range(3, 7)}
+    for rec in records:
+        assert face_of(cones[rec["genus"]], rec["point"]).to_json_dict() == rec["face"], rec["point"]
 
 
 # -- the pairing matrix (true shape, pinned) -------------------------------------

@@ -214,6 +214,34 @@ def test_fraction_free_rank_matches_sympy(rows):
     assert type(direct) is int and direct == want
 
 
+@st.composite
+def square_matrices(draw):
+    """Square rational matrices: as drawn, singular (one row replaced by a
+    rational combination of two other rows, or by zeros when n = 1) or
+    near-singular (that row off by 1/10^15 in one entry).  Extra zeros
+    make the elimination swap rows."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)), SMALL, LARGE)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("drawn", "singular", "near-singular")))
+    if kind != "drawn":
+        i = draw(st.integers(0, n - 1))
+        others = [r for m, r in enumerate(rows) if m != i] or [[Fraction(0)] * n]
+        u, v = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        c1, c2 = draw(entry), draw(entry)
+        rows[i] = [c1 * x + c2 * y for x, y in zip(u, v)]
+        if kind == "near-singular":
+            rows[i][draw(st.integers(0, n - 1))] += Fraction(1, 10**15)
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(square_matrices())
+def test_det_matches_sympy(rows):
+    got = QMatrix.from_rows(rows).det()
+    assert type(got) is Fraction and got == _sympy(rows).det()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(rational_matrices(), st.data())
 def test_kernel_inverse_solve_match_sympy(rows, data):
