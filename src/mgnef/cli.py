@@ -22,7 +22,7 @@ from .cones import (
     verify_extremal_face,
 )
 from .divisors import GenusContext, parse_divisor
-from .errors import CertificateFailure, MgnefError, ParseError
+from .errors import CertificateFailure, MgnefError, ParseError, UnsupportedGenusError
 from .fcurves import FORMULAS, is_fnef, numerical_classes
 from .torelli import (
     MODELS,
@@ -91,6 +91,11 @@ def _emit(payload: dict, human: str, args) -> None:
 # the scan's work; at the cap it ran in 3-8 s and at most 85 MB of memory
 # (g = 3, 20 and 1002; 2 vCPUs, Python 3.11)
 _BPF_MAX_EVALUATIONS = 100_000
+
+# fcurves, check, certify and pullback build the class table, which grows
+# about as g^3; at the cap the slowest, fcurves --format json, ran in 4.3 s
+# and 222 MB of memory, certify in 1.2 s (2 vCPUs, Python 3.11)
+_TABLE_MAX_GENUS = 120
 
 
 def cmd_fcurves(args) -> int:
@@ -339,6 +344,11 @@ def main(argv=None) -> int:
     if args.command == "bpf" and (args.m_max < 1 or args.alpha_max < 0 or args.beta_max < 0):
         parser.error("empty bpf grid: need --m-max >= 1, --alpha-max >= 0 and --beta-max >= 0")
     try:
+        builds_table = args.command in ("fcurves", "check", "certify", "pullback")
+        if builds_table and args.genus > _TABLE_MAX_GENUS:
+            raise UnsupportedGenusError(
+                f"genus {args.genus} exceeds the class table limit {_TABLE_MAX_GENUS}"
+            )
         return args.func(args)
     except (ParseError, _TooLong, OSError) as exc:  # OSError: --output cannot be written
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,7 @@ from .fcurves import FCurve, intersect, is_fnef, numerical_classes
 from .linalg import (
     QMatrix,
     Vec,
+    _echelon,
     clear_denominators,
     dot,
     integer_rank,
@@ -170,44 +171,33 @@ def nonneg_combination(
 # -- extreme rays (double description) ---------------------------------------
 
 
-def _adjacent(A: Sequence[_Row], processed: Sequence[int], r1: _Row, r2: _Row, d: int) -> bool:
-    common = [A[i] for i in processed if dot(A[i], r1) == 0 and dot(A[i], r2) == 0]
-    # a QMatrix rank, not integer_rank: the traced benchmark counts these
-    # calls under extreme_rays as its evidence that double description ran
-    return QMatrix.from_rows(common).rank() == d - 2
-
-
 def _dd_extreme_rays(A: Sequence[_Row], d: int) -> list[_Row]:
-    """Double description run over inequality rows of full rank d."""
-    chosen: list[_Row] = []
-    chosen_idx: list[int] = []
+    """Double description run over inequality rows, each ray kept with
+    the set of processed rows it lies on (its zero set)."""
+    # the pivot columns of the transpose are the first d independent rows
+    start = sorted(_echelon(zip(*A)))
+    if len(start) < d:
+        raise NotPointedError("inequality rows do not have full rank")
+    inv = QMatrix.from_rows([A[i] for i in start]).inverse()
+    # column j of the inverse lies on every start row but the j-th
+    rays = {primitive(inv.col(j)): frozenset(start[:j] + start[j + 1:]) for j in range(d)}
     for i, row in enumerate(A):
-        if integer_rank(chosen + [row]) > len(chosen):
-            chosen.append(row)
-            chosen_idx.append(i)
-            if len(chosen) == d:
-                break
-    inv = QMatrix.from_rows(chosen).inverse()
-    rays = sorted({primitive(inv.col(j)) for j in range(d)})
-    processed = list(chosen_idx)
-    for i, row in enumerate(A):
-        if i in chosen_idx:
+        if i in start:
             continue
         vals = {r: dot(row, r) for r in rays}
-        neg = [r for r in rays if vals[r] < 0]
-        if not neg:
-            processed.append(i)
-            continue
-        pos = [r for r in rays if vals[r] > 0]
-        zero = [r for r in rays if vals[r] == 0]
-        new = set(pos) | set(zero)
+        pos = [r for r, v in vals.items() if v > 0]
+        neg = [r for r, v in vals.items() if v < 0]
+        new = {r: rays[r] | {i} if v == 0 else rays[r] for r, v in vals.items() if v >= 0}
         for rp in pos:
             for rn in neg:
-                if _adjacent(A, processed, rp, rn, d):
-                    new.add(primitive([vals[rp] * n - vals[rn] * p for p, n in zip(rp, rn)]))
-        processed.append(i)
-        rays = sorted(new)
-    return rays
+                common = rays[rp] & rays[rn]
+                # a QMatrix rank, not integer_rank: the traced benchmark counts these
+                # calls under extreme_rays as its evidence that double description ran
+                if QMatrix.from_rows([A[k] for k in common]).rank() == d - 2:
+                    r = primitive([vals[rp] * n - vals[rn] * p for p, n in zip(rp, rn)])
+                    new[r] = common | {i}
+        rays = new
+    return sorted(rays)
 
 
 def _check_dim_limit(dim: int, limit: int) -> None:
@@ -224,9 +214,7 @@ def extreme_rays(cone: PolyCone, limit: int = DEFAULT_DIM_LIMIT) -> list[_Row]:
     """
     if cone.ineq_rows:
         _check_dim_limit(cone.dim, limit)
-        if integer_rank(cone.ineq_rows) < cone.dim:
-            raise NotPointedError("inequality rows do not have full rank")
-        return _dd_extreme_rays(list(cone.ineq_rows), cone.dim)
+        return _dd_extreme_rays(cone.ineq_rows, cone.dim)
     if cone.generators is not None:
         gens: list[_Row] = []
         for g in cone.generators:
@@ -304,13 +292,13 @@ def face_of(cone: PolyCone, point, limit: int = DEFAULT_DIM_LIMIT) -> FaceCertif
         if v == 0:
             active_idx.append(i)
     active_rows = [cone.ineq_rows[i] for i in active_idx]
-    active_rank = integer_rank(active_rows)
-    face_dim = cone.dim - active_rank
     # an integer basis of the face's linear span, the kernel of the active
     # rows (the whole space when none is active); the face is the cone the
     # rows cut out in these coordinates
     kernel = QMatrix(len(active_rows), cone.dim, vec(chain.from_iterable(active_rows)))
     span = [primitive(v) for v in kernel.kernel_basis()]
+    face_dim = len(span)
+    active_rank = cone.dim - face_dim
     restricted = [[dot(row, v) for v in span] for row in cone.ineq_rows]
     restricted = [primitive(r) for r in restricted if any(r)]
     gens: tuple[_Row, ...] | None

@@ -277,6 +277,46 @@ def test_bpf_grid_at_the_cap_is_scanned(capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 1
 
 
+# -- genus cap on the commands that build the class table -------------------------
+
+TABLE_COMMANDS = [
+    ["fcurves"],
+    ["check", "--divisor", "13*L - d0"],
+    ["certify"],
+    ["pullback", "--model", "perfect", "--divisor", "13*M - D"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda a: a[0])
+def test_genus_over_the_cap_builds_no_class_table(capsys, monkeypatch, argv):
+    def fail(*args):
+        raise AssertionError("the class table was requested")
+
+    for name in ("numerical_classes", "is_fnef", "verify_extremal_face"):
+        monkeypatch.setattr(cli, name, fail)
+    before = _classes_cached.cache_info()
+    genus = cli._TABLE_MAX_GENUS + 1
+    code, out, err = run(capsys, *argv, "--genus", str(genus))
+    assert code == 1 and out == ""
+    assert err == f"error: genus {genus} exceeds the class table limit {cli._TABLE_MAX_GENUS}\n"
+    after = _classes_cached.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda a: a[0])
+def test_genus_at_the_cap_reaches_the_class_table(monkeypatch, argv):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    for name in ("numerical_classes", "is_fnef", "verify_extremal_face"):
+        monkeypatch.setattr(cli, name, reached)
+    with pytest.raises(Reached):
+        main([*argv, "--genus", str(cli._TABLE_MAX_GENUS)])
+
+
 # -- rays -------------------------------------------------------------------------
 
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgnef import (
     CertificateFailure,
@@ -29,6 +31,7 @@ from mgnef import (
     verify_extremal_face,
     zero_divisor,
 )
+from mgnef.linalg import integer_rank
 from helpers import rand_fraction, rand_nonneg_fraction
 
 # -- independent brute-force ray oracle ----------------------------------------
@@ -103,6 +106,30 @@ def test_not_pointed_and_dimension_limit():
         extreme_rays(fnef_cone(14))
     with pytest.raises(DimensionLimitError):
         extreme_rays(fnef_cone(3), limit=2)
+
+
+@st.composite
+def small_cones(draw):
+    """Dimension d = 2..5 and d to d + 7 rows with entries in -3..3, with
+    repeated rows and zero rows inserted at drawn positions."""
+    d = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=d, max_size=d + 7))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat")), max_size=3)):
+        extra = (0,) * d if kind == "zero" else draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return d, rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_cones())
+def test_dd_matches_brute_force_on_small_cones(cone_rows):
+    d, rows = cone_rows
+    cone = PolyCone.from_inequalities(rows)
+    if integer_rank(cone.ineq_rows) < d:
+        with pytest.raises(NotPointedError):
+            extreme_rays(cone)
+    else:
+        assert extreme_rays(cone) == brute_force_rays(cone.ineq_rows, d)
 
 
 def test_vrep_extreme_filter():

@@ -2,8 +2,10 @@
 
 The files under ``data/`` are the stdout of ``mgnef <command> --genus g
 --format json``, each recorded from the code before the change that added
-it (the Fraction-only implementation, and for ``rays`` at g = 9 and 10 the
-Fraction RREF); the integer code must reproduce them exactly.
+it (the Fraction-only implementation, for ``rays`` at g = 9 and 10 the
+Fraction RREF, and at g = 11 and 12 the double description that rescanned
+the processed rows for every pair of rays); the integer code must
+reproduce them exactly.
 """
 
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 from mgnef.cli import main
 
 DATA = Path(__file__).parent / "data"
-GOLDENS = [("certify", 12), ("certify", 20), ("fcurves", 6)] + [("rays", g) for g in range(5, 11)]
+GOLDENS = [("certify", 12), ("certify", 20), ("fcurves", 6)] + [("rays", g) for g in range(5, 13)]
 
 
 @pytest.mark.parametrize("command, genus", GOLDENS)
