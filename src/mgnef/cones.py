@@ -173,7 +173,13 @@ def nonneg_combination(
 
 def _dd_extreme_rays(A: Sequence[_Row], d: int) -> list[_Row]:
     """Double description run over inequality rows, each ray kept with
-    the set of processed rows it lies on (its zero set)."""
+    the set of processed rows it lies on (its zero set).
+
+    The rows after the start rows are taken in lexicographic order
+    (Fukuda-Prodon's lexmin).  A (positive, negative) pair is adjacent iff
+    the rows its rays share have rank d - 2, so a pair sharing fewer than
+    d - 2 rows is skipped before that rank is taken.
+    """
     # the pivot columns of the transpose are the first d independent rows
     start = sorted(_echelon(zip(*A)))
     if len(start) < d:
@@ -181,18 +187,22 @@ def _dd_extreme_rays(A: Sequence[_Row], d: int) -> list[_Row]:
     inv = QMatrix.from_rows([A[i] for i in start]).inverse()
     # column j of the inverse lies on every start row but the j-th
     rays = {primitive(inv.col(j)): frozenset(start[:j] + start[j + 1:]) for j in range(d)}
-    for i, row in enumerate(A):
+    for i in sorted(range(len(A)), key=A.__getitem__):
         if i in start:
             continue
-        vals = {r: dot(row, r) for r in rays}
+        row = A[i]
+        vals = {r: sum(map(mul, row, r)) for r in rays}
         pos = [r for r, v in vals.items() if v > 0]
         neg = [r for r, v in vals.items() if v < 0]
         new = {r: rays[r] | {i} if v == 0 else rays[r] for r, v in vals.items() if v >= 0}
         for rp in pos:
             for rn in neg:
                 common = rays[rp] & rays[rn]
-                # a QMatrix rank, not integer_rank: the traced benchmark counts these
-                # calls under extreme_rays as its evidence that double description ran
+                if len(common) < d - 2:
+                    continue
+                # the size test is necessary, the rank test exact; a QMatrix rank,
+                # not integer_rank: the traced benchmark counts these calls under
+                # extreme_rays as its evidence that double description ran
                 if QMatrix.from_rows([A[k] for k in common]).rank() == d - 2:
                     r = primitive([vals[rp] * n - vals[rn] * p for p, n in zip(rp, rn)])
                     new[r] = common | {i}

@@ -97,6 +97,31 @@ def test_dd_insertion_order_independence():
             assert extreme_rays(shuffled) == baseline
 
 
+def test_dd_ranks_only_pairs_sharing_d_minus_2_rows(monkeypatch):
+    cone = fnef_cone(10)
+    sizes = []
+    rank = QMatrix.rank
+
+    def counted(self):
+        sizes.append(self.nrows)
+        return rank(self)
+
+    monkeypatch.setattr(QMatrix, "rank", counted)
+    extreme_rays(cone)
+    # every pair sharing fewer rows was skipped; testing every pair takes 4028
+    assert sizes and min(sizes) >= cone.dim - 2
+    assert len(sizes) < 500
+
+
+def test_dd_rank_test_needed_beyond_the_size_test():
+    # pairs whose rays share d - 2 = 1 row without being adjacent: dropping
+    # the rank test also yields (-6, -5, -11) and (-3, 1, -2)
+    rows = [(-1, 1, 0), (-1, 1, -1), (-2, -1, 1), (0, 0, 0), (0, -1, -1), (1, 1, -1)]
+    rays = extreme_rays(PolyCone.from_inequalities(rows))
+    assert rays == [(-2, 1, -1), (-1, -1, -3), (-1, -1, -2), (-1, 1, -1)]
+    assert rays == brute_force_rays(rows, 3)
+
+
 def test_not_pointed_and_dimension_limit():
     with pytest.raises(NotPointedError):
         extreme_rays(PolyCone.from_inequalities([[1, 0], [-1, 0]]))
