@@ -31,7 +31,9 @@ from .fcurves import FCurve, intersect, is_fnef, numerical_classes
 from .linalg import (
     QMatrix,
     Vec,
+    _divide_gcd,
     _echelon,
+    _reduce,
     clear_denominators,
     dot,
     integer_rank,
@@ -117,54 +119,52 @@ def nonneg_combination(
 ) -> list[Fraction] | None:
     """Solve ``sum_j x_j * columns[j] = target`` with ``x >= 0`` exactly.
 
-    Phase-1 simplex with Bland's rule over Fractions; returns one solution
-    or None when the system is infeasible.
+    Phase-1 simplex with Bland's rule and one artificial column per row;
+    returns one solution or None when the system is infeasible.  Each
+    tableau row is a positive multiple of its rational row in ints, so a
+    pivot is the echelon's elimination step and values are read over the
+    row's basic entry.  Raises ValueError on a column of the wrong length.
     """
-    m = len(target)
-    n = len(columns)
-    tableau: list[list[Fraction]] = []
+    m, n = len(target), len(columns)
+    for col in columns:
+        if len(col) != m:
+            raise ValueError(f"length mismatch: {len(col)} vs {m}")
+    tableau: list[list[int]] = []
     for i in range(m):
-        row = [Fraction(columns[j][i]) for j in range(n)]
-        rhs = Fraction(target[i])
+        row, rhs = [Fraction(col[i]) for col in columns], Fraction(target[i])
         if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        tableau.append(row + [Fraction(1 if k == i else 0) for k in range(m)] + [rhs])
-    basis = [n + i for i in range(m)]
-    total = n + m
+            row, rhs = [-x for x in row], -rhs
+        # the artificial entry, the row's basic entry, is scaled with the row
+        tableau.append(list(clear_denominators(row + [int(k == i) for k in range(m)] + [rhs])))
+    basis = list(range(n, n + m))
     while True:
-        in_basis_artificial = [i for i in range(m) if basis[i] >= n]
-        entering = None
-        for j in range(total):
-            cost = Fraction(1 if j >= n else 0)
-            reduced = cost - sum(tableau[i][j] for i in in_basis_artificial)
-            if reduced < 0:
-                entering = j
-                break
+        artificial = [(row, row[b]) for row, b in zip(tableau, basis) if b >= n]
+        # Bland's rule: the first column with a negative reduced cost enters
+        entering = next(
+            (j for j in range(n + m)
+             if sum(Fraction(row[j], p) for row, p in artificial if row[j]) > (j >= n)),
+            None,
+        )
         if entering is None:
             break
-        pivot_row = None
-        pivot_key = None
-        for i in range(m):
-            if tableau[i][entering] > 0:
-                key = (tableau[i][-1] / tableau[i][entering], basis[i])
-                if pivot_key is None or key < pivot_key:
-                    pivot_key, pivot_row = key, i
+        pivot_row = min(
+            (i for i in range(m) if tableau[i][entering] > 0),
+            key=lambda i: (Fraction(tableau[i][-1], tableau[i][entering]), basis[i]),
+            default=None,
+        )
         if pivot_row is None:
             raise RuntimeError("phase-1 objective cannot be unbounded")
-        pv = tableau[pivot_row][entering]
-        tableau[pivot_row] = [x / pv for x in tableau[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[pivot_row])]
+        pivot = {entering: tableau[pivot_row]}
+        for i, row in enumerate(tableau):
+            if i != pivot_row and row[entering]:
+                tableau[i] = _divide_gcd(_reduce(row, pivot, range(n + m + 1)))
         basis[pivot_row] = entering
-    if sum(tableau[i][-1] for i in range(m) if basis[i] >= n) != 0:
+    if any(row[-1] for row, b in zip(tableau, basis) if b >= n):
         return None
     x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i][-1]
+    for row, b in zip(tableau, basis):
+        if b < n:
+            x[b] = Fraction(row[-1], row[b])
     return x
 
 

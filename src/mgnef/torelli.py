@@ -41,7 +41,7 @@ class CompactificationModel:
     name: str
     picard_rank: int
     basis_labels: tuple[str, ...]
-    nef_rows: tuple[tuple[Fraction, ...], ...]
+    nef_rows: tuple[tuple[int, ...], ...]
     nef_row_labels: tuple[str, ...]
     has_pullback: bool
 
@@ -50,15 +50,11 @@ class CompactificationModel:
         return PolyCone.from_inequalities(self.nef_rows, self.nef_row_labels)
 
 
-def _rows(*rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in r) for r in rows)
-
-
 SATAKE = CompactificationModel(
     name="satake",
     picard_rank=1,
     basis_labels=("M",),
-    nef_rows=_rows((1,)),
+    nef_rows=((1,),),
     nef_row_labels=("a>=0",),
     has_pullback=True,
 )
@@ -67,7 +63,7 @@ PARTIAL = CompactificationModel(
     name="partial",
     picard_rank=2,
     basis_labels=("M", "D"),
-    nef_rows=_rows((1, -12), (0, 1)),
+    nef_rows=((1, -12), (0, 1)),
     nef_row_labels=("a-12b>=0", "b>=0"),
     has_pullback=False,
 )
@@ -76,7 +72,7 @@ PERFECT = CompactificationModel(
     name="perfect",
     picard_rank=2,
     basis_labels=("M", "D"),
-    nef_rows=_rows((1, -12), (0, 1)),
+    nef_rows=((1, -12), (0, 1)),
     nef_row_labels=("a-12b>=0", "b>=0"),
     has_pullback=True,
 )
@@ -151,9 +147,7 @@ def basis_images(model: CompactificationModel, ctx) -> tuple[DivisorClass, ...]:
         raise ModelMismatchError(
             f"no pullback stored in the catalog for model {model.name!r}"
         )
-    if model.name == "satake":
-        return (lambda_class(ctx),)
-    return (lambda_class(ctx), delta(ctx, 0))
+    return (lambda_class(ctx), delta(ctx, 0))[: model.picard_rank]
 
 
 def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> DivisorClass:
@@ -172,10 +166,8 @@ def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> Divisor
 def pullback_nef_cone(model: CompactificationModel, ctx) -> PolyCone:
     """V-rep image of the model's nef cone in divisor coordinates."""
     ctx = as_context(ctx)
-    gens = []
-    for ray in extreme_rays(model.nef_cone()):
-        adiv = AbelianDivisor(model.name, ray[0], ray[1] if len(ray) > 1 else Fraction(0))
-        gens.append(pullback(model, adiv, ctx).coeffs())
+    rays = extreme_rays(model.nef_cone())
+    gens = [pullback(model, AbelianDivisor(model.name, *ray), ctx).coeffs() for ray in rays]
     return PolyCone.from_generators(gens, dim=ctx.dim, genus=ctx.g)
 
 

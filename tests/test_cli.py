@@ -1,6 +1,8 @@
 """Command line interface: payload shapes, formats, exit codes."""
 
+import argparse
 import json
+import tracemalloc
 
 import pytest
 
@@ -340,6 +342,26 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["count"] == 3
+
+
+def test_json_output_is_streamed(tmp_path):
+    """A large JSON payload goes to --output in batches: the peak of
+    memory allocated while it is written stays under twice the encoded
+    size, where one string of the whole text plus its chunks is several
+    times it."""
+    curves = [{"family": "C5", "indices": [i % 60, 2], "vector": [str(i), "-1/12", "0"],
+               "merged": [f"C5({i},2)"]} for i in range(20_000)]
+    payload = {"command": "fcurves", "count": len(curves), "curves": curves}
+    target = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        cli._emit(payload, "", argparse.Namespace(format="json", output=str(target)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = target.read_text(encoding="utf-8")
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert peak < 2 * len(text)
 
 
 def test_unwritable_output_exit2(tmp_path, capsys):

@@ -32,7 +32,7 @@ from mgnef import (
     zero_divisor,
 )
 from mgnef.linalg import integer_rank
-from helpers import rand_fraction, rand_nonneg_fraction
+from helpers import fraction_nonneg_combination, rand_fraction, rand_nonneg_fraction
 
 # -- independent brute-force ray oracle ----------------------------------------
 
@@ -193,6 +193,88 @@ def test_nonneg_combination_reconstructs():
             sum(c * col[i] for c, col in zip(sol, cols)) for i in range(3)
         )
         assert rebuilt == target
+
+
+def test_nonneg_combination_refuses_length_mismatch():
+    with pytest.raises(ValueError, match="length mismatch: 3 vs 2"):
+        nonneg_combination([(1, 0, 5)], (1, 0))
+    with pytest.raises(ValueError, match="length mismatch: 1 vs 2"):
+        nonneg_combination([(1, 0), (1,)], (1, 0))
+
+
+def _with_degenerate_parts(cols, m, kinds, pick):
+    """Insert zero or repeated columns, or zero a row of every column."""
+    cols = [list(c) for c in cols]
+    for kind in kinds:
+        if kind == "zero-column":
+            cols.insert(pick(len(cols) + 1), [0] * m)
+        elif kind == "repeat" and cols:
+            cols.insert(pick(len(cols) + 1), list(cols[pick(len(cols))]))
+        elif kind == "zero-row" and m:
+            i = pick(m)
+            for c in cols:
+                c[i] = 0
+    return cols
+
+
+def _rand_lp(rng):
+    """Columns with entries p/q in -4..4 (a third of them 0), degenerate
+    parts inserted, and a target that is either a nonnegative combination
+    of the columns or drawn like an entry (negative, zero or positive)."""
+    m, n = rng.randint(0, 5), rng.randint(0, 6)
+
+    def entry():
+        return 0 if rng.random() < 0.3 else rand_fraction(rng, -4, 4, 4)
+
+    kinds = rng.choices(("zero-column", "repeat", "zero-row"), k=rng.randint(0, 2))
+    cols = _with_degenerate_parts([[entry() for _ in range(m)] for _ in range(n)], m,
+                                  kinds, rng.randrange)
+    if cols and rng.random() < 0.5:
+        w = [rand_nonneg_fraction(rng, 4, 3) for _ in cols]
+        return cols, [sum(x * c[i] for x, c in zip(w, cols)) for i in range(m)]
+    return cols, [entry() for _ in range(m)]
+
+
+def test_nonneg_combination_matches_fraction_tableau():
+    rng = random.Random(409)
+    solved = infeasible = 0
+    for _ in range(2000):
+        cols, target = _rand_lp(rng)
+        sol = nonneg_combination(cols, target)
+        assert sol == fraction_nonneg_combination(cols, target)
+        solved += sol is not None
+        infeasible += sol is None
+    assert solved > 500 and infeasible > 500
+    for cols, target in [([], []), ([], [0, 0]), ([], [1, 0]), ([], [0, -2]),
+                         ([(0, 0), (0, 0)], [0, 0]), ([(1, 0), (1, 0)], [-1, 0]),
+                         ([(Fraction(1, 2), 0), (Fraction(1, 2), 0)], [3, 0])]:
+        assert nonneg_combination(cols, target) == fraction_nonneg_combination(cols, target)
+
+
+_entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def small_lps(draw):
+    """m = 0..5 rows and 0..6 columns with degenerate parts inserted at
+    drawn positions; the target is a nonnegative combination of the
+    columns or drawn entry by entry."""
+    m = draw(st.integers(0, 5))
+    cols = draw(st.lists(st.lists(_entries, min_size=m, max_size=m), max_size=6))
+    kinds = draw(st.lists(st.sampled_from(("zero-column", "repeat", "zero-row")), max_size=3))
+    cols = _with_degenerate_parts(cols, m, kinds, lambda k: draw(st.integers(0, k - 1)))
+    if cols and draw(st.booleans()):
+        w = draw(st.lists(st.fractions(0, 4, max_denominator=3), min_size=len(cols),
+                          max_size=len(cols)))
+        return cols, [sum(x * c[i] for x, c in zip(w, cols)) for i in range(m)]
+    return cols, draw(st.lists(_entries, min_size=m, max_size=m))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_lps())
+def test_nonneg_combination_matches_fraction_tableau_property(lp):
+    cols, target = lp
+    assert nonneg_combination(cols, target) == fraction_nonneg_combination(cols, target)
 
 
 @pytest.mark.parametrize("g", [3, 4])
