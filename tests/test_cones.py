@@ -245,9 +245,12 @@ def test_nonneg_combination_matches_fraction_tableau():
         solved += sol is not None
         infeasible += sol is None
     assert solved > 500 and infeasible > 500
+    # the last case has rows of different scales, so an artificial entry
+    # not scaled with its row changes the pivots
     for cols, target in [([], []), ([], [0, 0]), ([], [1, 0]), ([], [0, -2]),
                          ([(0, 0), (0, 0)], [0, 0]), ([(1, 0), (1, 0)], [-1, 0]),
-                         ([(Fraction(1, 2), 0), (Fraction(1, 2), 0)], [3, 0])]:
+                         ([(Fraction(1, 2), 0), (Fraction(1, 2), 0)], [3, 0]),
+                         ([(-1, 0), (Fraction(-1, 2), 1), (1, 1)], [Fraction(3, 2), 3])]:
         assert nonneg_combination(cols, target) == fraction_nonneg_combination(cols, target)
 
 
