@@ -24,6 +24,7 @@ from .divisors import (
 from .errors import (
     CertificateFailure,
     DimensionLimitError,
+    GenusMismatchError,
     NotMemberError,
     NotPointedError,
 )
@@ -96,7 +97,12 @@ class PolyCone:
 
 
 def _as_point(cone: PolyCone, point) -> Vec:
-    x = point.coeffs() if isinstance(point, DivisorClass) else vec(point)
+    if isinstance(point, DivisorClass):
+        if cone.genus is not None and point.ctx.g != cone.genus:
+            raise GenusMismatchError(f"divisor genus {point.ctx.g} vs cone genus {cone.genus}")
+        x = point.coeffs()
+    else:
+        x = vec(point)
     if len(x) != cone.dim:
         raise ValueError(f"point of length {len(x)} in a {cone.dim}-dimensional cone")
     return x
@@ -119,8 +125,9 @@ def nonneg_combination(
 ) -> list[Fraction] | None:
     """Solve ``sum_j x_j * columns[j] = target`` with ``x >= 0`` exactly.
 
-    Phase-1 simplex with Bland's rule and one artificial column per row;
-    returns one solution or None when the system is infeasible.  Each
+    Phase-1 simplex with Bland's rule and one artificial column per row
+    that is not zero throughout (the others are left out); returns one
+    solution or None when the system is infeasible.  Each
     tableau row is a positive multiple of its rational row in ints, so a
     pivot is the echelon's elimination step and values are read over the
     row's basic entry.  Raises ValueError on a column of the wrong length.
@@ -129,13 +136,18 @@ def nonneg_combination(
     for col in columns:
         if len(col) != m:
             raise ValueError(f"length mismatch: {len(col)} vs {m}")
+    # a row that is zero in every column and in the target never pivots,
+    # and its artificial column has reduced cost exactly 1, so it never
+    # enters: leaving such rows out keeps every pivot and the solution
+    rows = [i for i in range(m) if target[i] or any(col[i] for col in columns)]
+    m = len(rows)
     tableau: list[list[int]] = []
-    for i in range(m):
+    for k, i in enumerate(rows):
         row, rhs = [Fraction(col[i]) for col in columns], Fraction(target[i])
         if rhs < 0:
             row, rhs = [-x for x in row], -rhs
         # the artificial entry, the row's basic entry, is scaled with the row
-        tableau.append(list(clear_denominators(row + [int(k == i) for k in range(m)] + [rhs])))
+        tableau.append(list(clear_denominators(row + [int(j == k) for j in range(m)] + [rhs])))
     basis = list(range(n, n + m))
     while True:
         artificial = [(row, row[b]) for row, b in zip(tableau, basis) if b >= n]

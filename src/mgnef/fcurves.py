@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .divisors import DivisorClass, GenusContext, as_context
 from .errors import GenusMismatchError, IndexOutOfRangeError, UnsupportedGenusError
@@ -232,10 +232,24 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     """Nonnegativity against every F-curve.
 
     Returns (True, None) or (False, witness) where the witness is the
-    violated curve with the smallest (family, indices) key.
+    violated curve with the smallest (family, indices) key.  Each class
+    row is paired only on the coordinates where the divisor is nonzero.
     """
     x = clear_denominators(d.coeffs())
-    for rec in numerical_classes(d.ctx):
-        if sum(map(mul, rec.row, x)) < 0:
+    support = [k for k, v in enumerate(x) if v]
+    classes = numerical_classes(d.ctx)
+    if not support:  # the zero class meets every curve in 0
+        return True, None
+    if len(support) == len(x):
+        for rec in classes:
+            if sum(map(mul, rec.row, x)) < 0:
+                return False, rec.curve
+        return True, None
+    # pair only where the divisor is nonzero; the repeated first index keeps
+    # a one-coordinate pick a tuple, and map stops at the shorter xs
+    pick = itemgetter(*support, support[0])
+    xs = pick(x)[:-1]
+    for rec in classes:
+        if sum(map(mul, pick(rec.row), xs)) < 0:
             return False, rec.curve
     return True, None

@@ -17,11 +17,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .cones import PolyCone, extreme_rays
 from .divisors import (
     DivisorClass,
+    GenusContext,
     _parse_linear,
     as_context,
     boundary_total,
@@ -164,8 +166,15 @@ def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> Divisor
 
 
 def pullback_nef_cone(model: CompactificationModel, ctx) -> PolyCone:
-    """V-rep image of the model's nef cone in divisor coordinates."""
-    ctx = as_context(ctx)
+    """V-rep image of the model's nef cone in divisor coordinates, built
+    once per model and genus."""
+    return _pullback_nef_cone_cached(model, as_context(ctx))
+
+
+@lru_cache(maxsize=None)
+def _pullback_nef_cone_cached(model: CompactificationModel, ctx: GenusContext) -> PolyCone:
+    # both keys are frozen and the cone is immutable; a model without a
+    # pullback raises, and lru_cache keeps no exception
     rays = extreme_rays(model.nef_cone())
     gens = [pullback(model, AbelianDivisor(model.name, *ray), ctx).coeffs() for ray in rays]
     return PolyCone.from_generators(gens, dim=ctx.dim, genus=ctx.g)

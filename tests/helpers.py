@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from mgnef import as_context, from_coeffs
+from mgnef import as_context, from_coeffs, numerical_classes
+from mgnef.linalg import clear_denominators
 
 
 def rand_fraction(rng: random.Random, lo=-6, hi=6, max_den=4) -> Fraction:
@@ -111,3 +113,15 @@ def fraction_nonneg_combination(
         if basis[i] < n:
             x[basis[i]] = tableau[i][-1]
     return x
+
+
+# The reference for mgnef.fcurves.is_fnef: each class row paired with the
+# divisor on every coordinate.  Pairing only on the divisor's support must
+# give the same verdict and the same smallest-key witness.
+def full_row_is_fnef(d):
+    """(True, None), or (False, the first class whose row pairs negatively)."""
+    x = clear_denominators(d.coeffs())
+    for rec in numerical_classes(d.ctx):
+        if sum(map(mul, rec.row, x)) < 0:
+            return False, rec.curve
+    return True, None

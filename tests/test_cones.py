@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgnef import (
+    PERFECT,
     CertificateFailure,
     DimensionLimitError,
+    GenusMismatchError,
     NotMemberError,
     NotPointedError,
     PolyCone,
@@ -26,7 +28,9 @@ from mgnef import (
     lambda_class,
     lemma_matrix,
     nonneg_combination,
+    parse_divisor,
     primitive,
+    pullback_nef_cone,
     twelve_lambda_minus_delta0,
     verify_extremal_face,
     zero_divisor,
@@ -254,6 +258,34 @@ def test_nonneg_combination_matches_fraction_tableau():
         assert nonneg_combination(cols, target) == fraction_nonneg_combination(cols, target)
 
 
+def _with_zero_rows(cols, target, rng):
+    """The LP with one to three rows that are zero in every column and in
+    the target inserted at seeded positions, one of them between two rows
+    of the LP when it has two, so the rows after it shift."""
+    rows = [list(r) for r in zip(*cols)] if cols else [[] for _ in target]
+    rows = [r + [t] for r, t in zip(rows, target)]
+    if len(rows) >= 2:
+        rows.insert(rng.randint(1, len(rows) - 1), [0] * (len(cols) + 1))
+    for _ in range(rng.randint(0 if len(rows) >= 2 else 1, 2)):
+        rows.insert(rng.randint(0, len(rows)), [0] * (len(cols) + 1))
+    return [list(c) for c in zip(*(r[:-1] for r in rows))], [r[-1] for r in rows]
+
+
+def test_nonneg_combination_leaves_out_zero_rows():
+    rng = random.Random(413)
+    solved = 0
+    for _ in range(1000):
+        cols, target = _rand_lp(rng)
+        padded_cols, padded_target = _with_zero_rows(cols, target, rng)
+        assert len(padded_target) > len(target)
+        assert all(len(c) == len(padded_target) for c in padded_cols)
+        sol = nonneg_combination(padded_cols, padded_target)
+        assert sol == nonneg_combination(cols, target)
+        assert sol == fraction_nonneg_combination(padded_cols, padded_target)
+        solved += sol is not None
+    assert 250 < solved < 750
+
+
 _entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
@@ -303,6 +335,21 @@ def test_membership_agreement_h_vs_v(g):
         assert h == v, p
         agree_members += h
     assert agree_members >= 20  # the planted members are recognized
+
+
+def test_membership_refuses_a_divisor_of_another_genus():
+    # genera 40 and 41 share the dimension 22, so only the genus tells them apart
+    d = parse_divisor("L", 41)
+    for cone in (pullback_nef_cone(PERFECT, 40), fnef_cone(40)):
+        assert cone.dim == d.ctx.dim
+        with pytest.raises(GenusMismatchError, match="divisor genus 41 vs cone genus 40"):
+            cone.contains(d)
+    with pytest.raises(GenusMismatchError):
+        face_of(fnef_cone(40), d)
+    # the same genus, bare coordinates and a cone without a genus still pass
+    assert pullback_nef_cone(PERFECT, 41).contains(d)
+    assert fnef_cone(40).contains(d.coeffs())
+    assert PolyCone.from_generators([d.coeffs()]).contains(d)
 
 
 # -- faces ----------------------------------------------------------------------

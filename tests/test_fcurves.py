@@ -24,7 +24,7 @@ from mgnef import (
     primitive,
     twelve_lambda_minus_delta0,
 )
-from helpers import rand_divisor
+from helpers import full_row_is_fnef, rand_divisor, rand_fraction
 
 
 def curve(g, family, *indices):
@@ -215,6 +215,37 @@ def test_is_fnef_minimal_witness():
     for rec in numerical_classes(8):
         if rec.curve.sort_key < witness.sort_key:
             assert intersect(d, rec.curve) >= 0
+
+
+def _supports(rng, dim):
+    """Coordinate sets of the divisors: empty (the zero class), {a},
+    {a, b_0}, three random draws, and all of them."""
+    out = [(), (0,), (0, 1)]
+    for _ in range(3):
+        out.append(tuple(sorted(rng.sample(range(dim), rng.randint(1, dim)))))
+    return out + [tuple(range(dim))]
+
+
+def test_is_fnef_support_scan_matches_full_rows():
+    rng = random.Random(311)
+    verdicts = []
+    for g in range(3, 41):
+        dim = as_context(g).dim
+        for support in _supports(rng, dim):
+            for _ in range(3):
+                coeffs = [0] * dim
+                for k in support:
+                    coeffs[k] = rand_fraction(rng)
+                # half the time a >= 12*b_0 and every b_i >= 0, so both
+                # verdicts come up often
+                if support and rng.random() < 0.5:
+                    coeffs = [abs(c) for c in coeffs]
+                    coeffs[0] += 12 * coeffs[1]
+                d = from_coeffs(g, coeffs)
+                got = is_fnef(d)
+                assert got == full_row_is_fnef(d), (g, coeffs)
+                verdicts.append(got[0])
+    assert verdicts.count(True) > 200 and verdicts.count(False) > 200
 
 
 # -- the integer class table against a Fraction reference -------------------------

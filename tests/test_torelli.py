@@ -178,6 +178,18 @@ def test_pullback_nef_cone_generators(g):
     assert satake.generators == (lambda_class(g).coeffs(),)
 
 
+def test_pullback_nef_cone_built_once_per_model_and_genus():
+    for model in (PERFECT, SATAKE):
+        for g in (3, 8, 40):
+            cone = pullback_nef_cone(model, g)
+            assert pullback_nef_cone(model, as_context(g)) == cone
+            assert pullback_nef_cone(model, g) is cone
+    # lru_cache keeps no exception, so the refusal comes on every call
+    for _ in range(3):
+        with pytest.raises(ModelMismatchError, match="no pullback stored"):
+            pullback_nef_cone(PARTIAL, 5)
+
+
 @pytest.mark.parametrize("g", range(3, 9))
 def test_cone_mapping_equality(g):
     """The pulled back nef cone and the span of the two face generators admit
