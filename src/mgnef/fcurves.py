@@ -240,11 +240,6 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     classes = numerical_classes(d.ctx)
     if not support:  # the zero class meets every curve in 0
         return True, None
-    if len(support) == len(x):
-        for rec in classes:
-            if sum(map(mul, rec.row, x)) < 0:
-                return False, rec.curve
-        return True, None
     # pair only where the divisor is nonzero; the repeated first index keeps
     # a one-coordinate pick a tuple, and map stops at the shorter xs
     pick = itemgetter(*support, support[0])
