@@ -92,9 +92,13 @@ def _emit(payload: dict, human: str, args) -> None:
         fh.write("\n")
 
 
-# the scan's work; at the cap it ran in 3-8 s and at most 85 MB of memory
-# (g = 3, 20 and 1002; 2 vCPUs, Python 3.11)
+# the scan's work: grid points times C3 curves, and that times the row width
+# g//2 + 2 of each intersection.  The second cap admits every grid the first
+# admits up to g = 1002, whose rows are 503 wide, and a one-point grid up to
+# g = 10029.  At the caps the scan ran in 2-5 s and at most 84 MB of memory
+# (g = 3, 20, 1002 and 10026; 2 vCPUs, Python 3.11)
 _BPF_MAX_EVALUATIONS = 100_000
+_BPF_MAX_ROW_ENTRIES = _BPF_MAX_EVALUATIONS * 503
 
 # fcurves, check, certify and pullback build the class table, which grows
 # about as g^3; at the cap the slowest, fcurves --format json, ran in 3.6 s
@@ -127,7 +131,7 @@ def cmd_fcurves(args) -> int:
 
 def cmd_table(args) -> int:
     g = args.genus
-    GenusContext(g).require_basis()
+    GenusContext(g)  # refuses g < 3
     text_rows = _table_rows()
     rows = [
         {"family": fam, "value": val, "lambda": lam, "twelve_lambda_minus_delta0": tw}
@@ -212,7 +216,6 @@ def cmd_certify(args) -> int:
 def cmd_rays(args) -> int:
     g = args.genus
     ctx = GenusContext(g)
-    ctx.require_basis()
     _check_dim_limit(ctx.dim, args.limit)  # before the class table is built
     cone = fnef_cone(ctx)
     rays = extreme_rays(cone, limit=args.limit)
@@ -264,13 +267,19 @@ def cmd_pullback(args) -> int:
 
 def cmd_bpf(args) -> int:
     g = args.genus
-    GenusContext(g).require_basis()
-    # one intersection per grid point and C3(i), i = 1..g-2; counted before
-    # any grid is built, and never printed (it may exceed 4300 digits)
+    GenusContext(g)  # refuses g < 3
+    # one intersection per grid point and C3(i), i = 1..g-2, each over a row
+    # of g//2 + 2 entries; counted before any grid is built, and never
+    # printed (it may exceed 4300 digits)
     points = args.m_max * (args.alpha_max + 1) * (args.beta_max + 1)
     if points * (g - 2) > _BPF_MAX_EVALUATIONS:
         raise MgnefError(
             f"bpf grid too large: grid points times C3 curves exceeds {_BPF_MAX_EVALUATIONS}"
+        )
+    if points * (g - 2) * (g // 2 + 2) > _BPF_MAX_ROW_ENTRIES:
+        raise MgnefError(
+            f"bpf grid too large: grid points times C3 curves times row width "
+            f"exceeds {_BPF_MAX_ROW_ENTRIES}"
         )
     report = bpf_scan(
         g,

@@ -364,7 +364,6 @@ def lemma_matrix(g) -> QMatrix:
     the witness curves {C1, C2, C3(1), ...}, one row and one column per
     basis slot."""
     ctx = as_context(g)
-    ctx.require_basis()
     row_divs = [lambda_class(ctx).scale(12), twelve_lambda_minus_delta0(ctx)]
     row_divs += [delta(ctx, i) for i in range(1, ctx.dim - 1)]
     witness = _witness_curves(ctx)
@@ -386,7 +385,6 @@ def face_certificate(
     CertificateFailure on the first violated check.
     """
     ctx = as_context(g)
-    ctx.require_basis()
     d = ctx.dim
     classes = numerical_classes(ctx)
     witness = _witness_curves(ctx)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Sequence, Union
 
 from .errors import (
@@ -36,13 +37,19 @@ def reflect_index(k: int, g: int) -> int:
 
 @dataclass(frozen=True, order=True)
 class GenusContext:
-    """Fixes the genus and with it the shape of the coefficient space."""
+    """Fixes the genus and with it the shape of the coefficient space.
+
+    The genus is stored as an ``int`` and must be at least 3, where lambda,
+    delta_0, ..., delta_{floor(g/2)} is a basis; this is the package's only
+    genus gate.
+    """
 
     g: int
 
     def __post_init__(self):
-        if self.g < 2:
-            raise UnsupportedGenusError(f"genus {self.g} < 2 is not supported")
+        object.__setattr__(self, "g", index(self.g))
+        if self.g < 3:
+            raise UnsupportedGenusError(f"genus {self.g}: the lambda/delta basis needs g >= 3")
 
     @property
     def max_delta(self) -> int:
@@ -53,13 +60,6 @@ class GenusContext:
     def dim(self) -> int:
         """Rank of the Picard group in this basis, floor(g/2) + 2."""
         return self.g // 2 + 2
-
-    def require_basis(self) -> None:
-        """Basis-dependent operations need g >= 3."""
-        if self.g < 3:
-            raise UnsupportedGenusError(
-                f"genus {self.g}: the lambda/delta basis operations need g >= 3"
-            )
 
 
 def as_context(g: Union[int, GenusContext]) -> GenusContext:
@@ -75,8 +75,6 @@ class DivisorClass:
     b: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # the lambda/delta coordinates are only a basis for g >= 3
-        self.ctx.require_basis()
         want = self.ctx.max_delta + 1
         if len(self.b) != want:
             raise ValueError(f"expected {want} boundary coefficients, got {len(self.b)}")

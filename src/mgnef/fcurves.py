@@ -25,7 +25,7 @@ from math import gcd
 from operator import itemgetter, mul
 
 from .divisors import DivisorClass, GenusContext, as_context
-from .errors import GenusMismatchError, IndexOutOfRangeError, UnsupportedGenusError
+from .errors import GenusMismatchError, IndexOutOfRangeError
 from .linalg import Vec, clear_denominators
 
 # 12 * (D . C) for D = a*lambda - sum_k b_k delta_k: per family, the names
@@ -101,9 +101,7 @@ class FCurve:
         names = FORMULAS[fam][0]
         if len(idx) != len(names):
             raise IndexOutOfRangeError(f"{fam} takes the indices ({','.join(names)}), got {idx}")
-        if fam == "C2" and g < 3:
-            raise UnsupportedGenusError("C2 needs genus >= 3")
-        elif fam == "C3" and not 1 <= idx[0] <= g - 2:
+        if fam == "C3" and not 1 <= idx[0] <= g - 2:
             raise IndexOutOfRangeError(f"C3 index {idx[0]} outside 1..{g - 2}")
         elif fam == "C4" and not 0 <= idx[0] <= g - 2:
             raise IndexOutOfRangeError(f"C4 index {idx[0]} outside 0..{g - 2}")
@@ -146,8 +144,7 @@ def intersection_vector(c: FCurve) -> Vec:
 def _raw_indices(n: int):
     """(family, indices) of every curve at genus n, in sort-key order."""
     yield "C1", ()
-    if n >= 3:
-        yield "C2", ()
+    yield "C2", ()
     for i in range(1, n - 1):
         yield "C3", (i,)
     for i in range(0, n - 1):
@@ -167,7 +164,8 @@ def enumerate_fcurves_raw(g) -> list[FCurve]:
     """All curves with canonically ordered indices, before numerical merging.
 
     C5 is listed with i <= j and C6 with i <= j <= k <= l; permuted index
-    tuples give the same curve, so only the sorted form is emitted.
+    tuples give the same curve, so only the sorted form is emitted.  Needs
+    g >= 3, as every genus context does.
     """
     ctx = as_context(g)
     return [FCurve(ctx, fam, idx) for fam, idx in _raw_indices(ctx.g)]
@@ -209,23 +207,16 @@ def numerical_classes(g) -> list[FCurveClass]:
     """Curves grouped by intersection vector, one representative per class.
 
     The representative is the curve whose (family, indices) key is smallest,
-    so C4(0) represents the g = 3 class {C4(0), C4(1)}.  Needs g >= 3.
+    so C4(0) represents the g = 3 class {C4(0), C4(1)}; a genus below 3
+    raises UnsupportedGenusError from the genus context.
     """
-    ctx = as_context(g)
-    ctx.require_basis()
-    return list(_classes_cached(ctx))
+    return list(_classes_cached(as_context(g)))
 
 
 def enumerate_fcurves(g) -> list[FCurve]:
-    """Distinct numerical F-curve classes, canonically sorted.
-
-    For g = 2 the raw family list is returned (the lambda/delta basis is
-    not available there, so no numerical merging applies).
-    """
-    ctx = as_context(g)
-    if ctx.g == 2:
-        return enumerate_fcurves_raw(ctx)
-    return [rec.curve for rec in numerical_classes(ctx)]
+    """Distinct numerical F-curve classes, canonically sorted: the
+    representatives of ``numerical_classes(g)``, so g >= 3."""
+    return [rec.curve for rec in numerical_classes(g)]
 
 
 def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:

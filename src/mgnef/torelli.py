@@ -328,7 +328,6 @@ def bpf_scan(ctx, m_values: Sequence[int], alphas: Sequence, betas: Sequence) ->
     coefficient identity, the entries record the numeric scan.
     """
     ctx = as_context(ctx)
-    ctx.require_basis()
     g = ctx.g
     adjoint = canonical_class(ctx) + boundary_total(ctx)
     c3_curves = [FCurve(ctx, "C3", (i,)) for i in range(1, g - 1)]

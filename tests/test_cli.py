@@ -41,13 +41,6 @@ def test_fcurves_genus3(capsys):
     assert by_tag["C1"]["vector"] == ["1/12", "1", "-1/12"]
 
 
-def test_fcurves_small_genus_rejected(capsys):
-    for g in ("1", "2"):
-        code, out, err = run(capsys, "fcurves", "--genus", g)
-        assert code == 1
-        assert out == "" and err.startswith("error:")
-
-
 def test_fcurves_text_lists_merges(capsys):
     code, out, _ = run(capsys, "fcurves", "--genus", "4")
     assert code == 0
@@ -89,11 +82,6 @@ def test_table_latex(capsys):
     assert out.startswith("\\begin{tabular}")
     assert r"\frac{1}{12}" in out and r"12\lambda - \delta_0" in out
     assert out.count("\\\\") >= 7
-
-
-def test_table_rejects_genus2(capsys):
-    code, out, err = run(capsys, "table", "--genus", "2")
-    assert code == 1 and err.startswith("error:")
 
 
 # -- check ------------------------------------------------------------------------
@@ -249,16 +237,22 @@ def test_bpf_small_grid_text(capsys):
 
 
 HUGE = "99999999999999999999999"
+ONE_POINT = ["--m-max", "1", "--alpha-max", "0", "--beta-max", "0"]
 
 
-@pytest.mark.parametrize("flag", ["--m-max", "--alpha-max", "--beta-max"])
-def test_bpf_grid_over_the_cap_is_refused_before_it_is_built(capsys, monkeypatch, flag):
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(["--genus", "5", flag, HUGE], id=flag)
+      for flag in ("--m-max", "--alpha-max", "--beta-max")),
+    # 99999 C3 curves are under the count cap, but each row is 50002 wide
+    pytest.param(["--genus", "100001", *ONE_POINT], id="row-width"),
+])
+def test_bpf_grid_over_the_cap_is_refused_before_it_is_built(capsys, monkeypatch, argv):
     def fail(*args):
         raise AssertionError("the grid was built")
 
     monkeypatch.setattr(cli, "range", fail, raising=False)  # shadows the builtin in cmd_bpf
     monkeypatch.setattr(cli, "bpf_scan", fail)
-    code, out, err = run(capsys, "bpf", "--genus", "5", flag, HUGE)
+    code, out, err = run(capsys, "bpf", *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: bpf grid too large") and err.count("\n") == 1
 
@@ -277,6 +271,13 @@ def test_bpf_grid_at_the_cap_is_scanned(capsys, monkeypatch):
         main(argv)
     argv[-1] = "50"
     assert run(capsys, *argv)[0] == 1
+    # the row-width cap admits every grid the count cap admits up to genus
+    # 1002 (here 100 points times 1000 curves) and one point up to genus 10029
+    for argv in (["--genus", "1002", "--m-max", "4", "--alpha-max", "4", "--beta-max", "4"],
+                 ["--genus", "10029", *ONE_POINT]):
+        with pytest.raises(Scanned):
+            main(["bpf", *argv])
+    assert run(capsys, "bpf", "--genus", "10030", *ONE_POINT)[0] == 1
 
 
 # -- genus cap on the commands that build the class table -------------------------
@@ -444,3 +445,15 @@ def test_bpf_empty_grid_is_a_usage_error(capsys, flag, value):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "empty bpf grid" in captured.err
+
+
+# -- the genus gate -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("genus", [-1, 0, 1, 2])
+@pytest.mark.parametrize("argv", [*TABLE_COMMANDS, ["table"], ["rays"], ["bpf"]],
+                         ids=lambda a: a[0])
+def test_genus_below_3_is_refused(capsys, argv, genus):
+    code, out, err = run(capsys, *argv, "--genus", str(genus))
+    assert (code, out) == (1, "")
+    assert err == f"error: genus {genus}: the lambda/delta basis needs g >= 3\n"

@@ -1,10 +1,12 @@
 """Divisor coordinates, named classes, parser, serialization."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import mgnef
 from mgnef import (
     GenusContext,
     GenusMismatchError,
@@ -23,20 +25,66 @@ from mgnef import (
     parse_divisor,
     reflect_index,
     twelve_lambda_minus_delta0,
+    verify_extremal_face,
     zero_divisor,
 )
 from helpers import rand_divisor, rand_nonneg_fraction
 
 
 def test_genus_context_bounds():
+    for g in (-1, 0, 1, 2):
+        with pytest.raises(UnsupportedGenusError, match=f"genus {g}: .*g >= 3"):
+            GenusContext(g)
     with pytest.raises(UnsupportedGenusError):
-        GenusContext(1)
-    ctx = GenusContext(2)
-    assert ctx.max_delta == 1
-    with pytest.raises(UnsupportedGenusError):
-        lambda_class(ctx)
+        lambda_class(2)
     with pytest.raises(UnsupportedGenusError):
         zero_divisor(2)
+    assert GenusContext(3).max_delta == 1
+
+
+ENTRY_POINTS = {
+    "enumerate_fcurves": mgnef.enumerate_fcurves,
+    "enumerate_fcurves_raw": mgnef.enumerate_fcurves_raw,
+    "numerical_classes": mgnef.numerical_classes,
+    "fnef_cone": mgnef.fnef_cone,
+    "lemma_matrix": mgnef.lemma_matrix,
+    "verify_extremal_face": mgnef.verify_extremal_face,
+    "parse_divisor": lambda g: parse_divisor("lambda", g),
+    "lambda_class": lambda_class,
+    "pullback_nef_cone": lambda g: mgnef.pullback_nef_cone(mgnef.get_model("perfect"), g),
+    "bpf_scan": lambda g: mgnef.bpf_scan(g, [1], [0], [0]),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_refuse_genus_2(name):
+    with pytest.raises(UnsupportedGenusError, match="genus 2: "):
+        ENTRY_POINTS[name](2)
+    ENTRY_POINTS[name](3)  # and accept the smallest supported genus
+
+
+class Index:
+    """An integer-like genus that is not an int, as NumPy's int64 is."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+def test_genus_context_stores_an_int():
+    ctx = GenusContext(Index(5))
+    assert type(ctx.g) is int and ctx == GenusContext(5) == as_context(Index(5))
+    for g in (5.5, 4.0, "5", Fraction(5)):
+        with pytest.raises(TypeError):
+            GenusContext(g)
+    with pytest.raises(UnsupportedGenusError):
+        GenusContext(Index(2))
+    # the payloads of an integer-like genus serialize as plain ints
+    payload = verify_extremal_face(Index(5)).to_json_dict()
+    assert json.loads(json.dumps(payload))["genus"] == 5
+    assert lambda_class(Index(7)).to_json_dict()["genus"] == 7
 
 
 @pytest.mark.parametrize(

@@ -147,14 +147,20 @@ def test_genus_mismatch():
 # -- enumeration ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("g, raw", [(2, 2), (3, 6), (4, 10), (5, 14), (12, 68)])
+@pytest.mark.parametrize("g, raw", [(2, None), (3, 6), (4, 10), (5, 14), (12, 68)])
 def test_raw_counts(g, raw):
-    assert len(enumerate_fcurves_raw(g)) == raw
+    if raw is None:  # below genus 3 there is no curve list to count
+        with pytest.raises(UnsupportedGenusError):
+            enumerate_fcurves_raw(g)
+    else:
+        assert len(enumerate_fcurves_raw(g)) == raw
 
 
 def test_raw_counts_monotone():
-    counts = [len(enumerate_fcurves_raw(g)) for g in range(2, 21)]
+    counts = [len(enumerate_fcurves_raw(g)) for g in range(3, 21)]
     assert counts == sorted(counts)
+    with pytest.raises(UnsupportedGenusError):
+        enumerate_fcurves_raw(2)
 
 
 @pytest.mark.parametrize("g, classes", [(3, 4), (4, 8), (5, 9)])
@@ -187,9 +193,9 @@ def test_enumeration_is_sorted_and_canonical():
                 assert c.indices[0] <= c.indices[1]
             if c.family == "C6":
                 assert list(c.indices) == sorted(c.indices)
-    assert [c.tag for c in enumerate_fcurves(2)] == ["C1", "C4(0)"]
-    with pytest.raises(UnsupportedGenusError):
-        numerical_classes(2)
+    for enumerate_at in (enumerate_fcurves, numerical_classes):
+        with pytest.raises(UnsupportedGenusError):
+            enumerate_at(2)
 
 
 # -- nonnegativity scan ----------------------------------------------------------
