@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -28,7 +29,7 @@ from .errors import (
     NotMemberError,
     NotPointedError,
 )
-from .fcurves import FCurve, intersect, is_fnef, numerical_classes
+from .fcurves import _on_support, _row12, is_fnef, numerical_classes
 from .linalg import (
     QMatrix,
     Vec,
@@ -352,10 +353,11 @@ def face_of(cone: PolyCone, point, limit: int = DEFAULT_DIM_LIMIT) -> FaceCertif
     )
 
 
-def _witness_curves(ctx) -> list[FCurve]:
-    """The curves {C1, C2, C3(1), ..., C3(d-2)}, one per basis slot."""
-    return [FCurve(ctx, "C1"), FCurve(ctx, "C2")] + [
-        FCurve(ctx, "C3", (i,)) for i in range(1, ctx.dim - 1)
+def _witness_rows(ctx) -> list[_Row]:
+    """12 * (D . C) for the witness curves {C1, C2, C3(1), ..., C3(d-2)},
+    one per basis slot, as integer rows."""
+    return [_row12("C1", (), ctx.g), _row12("C2", (), ctx.g)] + [
+        _row12("C3", (i,), ctx.g) for i in range(1, ctx.dim - 1)
     ]
 
 
@@ -366,8 +368,15 @@ def lemma_matrix(g) -> QMatrix:
     ctx = as_context(g)
     row_divs = [lambda_class(ctx).scale(12), twelve_lambda_minus_delta0(ctx)]
     row_divs += [delta(ctx, i) for i in range(1, ctx.dim - 1)]
-    witness = _witness_curves(ctx)
-    return QMatrix.from_rows([[intersect(dv, cv) for cv in witness] for dv in row_divs])
+    witness = _witness_rows(ctx)
+    zero, entries = Fraction(0), []
+    for dv in row_divs:
+        # the row divisors are integral, so clearing denominators scales by 1
+        pick, x = _on_support(clear_denominators(dv.coeffs()))
+        for row in witness:
+            v = sum(map(mul, pick(row), x))
+            entries.append(Fraction(v, 12) if v else zero)
+    return QMatrix(len(row_divs), len(witness), tuple(entries))
 
 
 def face_certificate(
@@ -383,40 +392,63 @@ def face_certificate(
     pattern on the witness curves {C1, C2, C3(1), ...}, invertibility of
     the pairing matrix, and the rank of the common active set.  Raises
     CertificateFailure on the first violated check.
+
+    The active rank is read off the earlier checks when both generators
+    pass their vanishing checks and the lemma determinant is nonzero: each
+    generator then meets only its own witness curve, so the two are
+    independent and the active rows, which vanish on both, have rank at
+    most d - 2; the witness rows C3(1..d-2) are independent and active, so
+    the rank is exactly d - 2.  Otherwise every active row is ranked.
     """
     ctx = as_context(g)
     d = ctx.dim
     classes = numerical_classes(ctx)
-    witness = _witness_curves(ctx)
+    witness = _witness_rows(ctx)
     checks: list[Check] = []
 
     for label, gen in zip(gen_labels, (gen1, gen2)):
         ok, w = is_fnef(gen)
         checks.append(Check(f"fnef:{label}", ok, "" if ok else f"negative against {w.tag}"))
+    for gen in (gen1, gen2):
+        if gen.ctx != ctx:
+            raise GenusMismatchError(f"divisor genus {gen.ctx.g} vs curve genus {ctx.g}")
 
-    # each generator meets only its own witness curve, their sum meets both
-    v1, v2 = ([intersect(gen, c) for c in witness] for gen in (gen1, gen2))
-    combined = gen1 + gen2
-    for label, vals, nonzero in (
-        (gen_labels[0], v1, {0}),
-        (gen_labels[1], v2, {1}),
-        ("interior-combination", [intersect(combined, c) for c in witness], {0, 1}),
+    # each generator meets only its own witness curve, their sum meets both;
+    # a class is x / s with x integral and s > 0, so it meets the curve of
+    # the 12 * (D . C) row in row . x / (12 * s)
+    (x1, s1), (x2, s2) = (
+        (clear_denominators(c), lcm(*(v.denominator for v in c)))
+        for c in (gen1.coeffs(), gen2.coeffs())
+    )
+    for label, x, s, nonzero in (
+        (gen_labels[0], x1, s1, {0}),
+        (gen_labels[1], x2, s2, {1}),
+        ("interior-combination", [u * s2 + v * s1 for u, v in zip(x1, x2)], s1 * s2, {0, 1}),
     ):
-        ok = all((x != 0) == (k in nonzero) for k, x in enumerate(vals))
-        detail = "" if ok else f"witness values {[str(x) for x in vals]}"
+        pick, xs = _on_support(x)
+        vals = [sum(map(mul, pick(row), xs)) for row in witness]
+        ok = all((v != 0) == (k in nonzero) for k, v in enumerate(vals))
+        detail = "" if ok else f"witness values {[str(Fraction(v, 12 * s)) for v in vals]}"
         checks.append(Check(f"vanishing:{label}", ok, detail))
 
     mat = lemma_matrix(ctx)
     dt = mat.det()
     checks.append(Check("independence:lemma-matrix", dt != 0 and abs(dt) == 1, f"det = {dt}"))
 
-    x1, x2 = clear_denominators(gen1.coeffs()), clear_denominators(gen2.coeffs())
-    active = [
-        rec
-        for rec in classes
-        if sum(map(mul, rec.row, x1)) == 0 and sum(map(mul, rec.row, x2)) == 0
-    ]
-    active_rank = integer_rank(rec.row for rec in active)
+    # u or v is nonzero where either generator is: pick their joint support
+    pick, _ = _on_support([u or v for u, v in zip(x1, x2)])
+    y1, y2 = pick(x1)[:-1], pick(x2)[:-1]
+    active = []
+    for rec in classes:
+        r = pick(rec.row)
+        if not sum(map(mul, r, y1)) and not sum(map(mul, r, y2)):
+            active.append(rec)
+    # both generators' vanishing checks and a nonzero determinant fix the
+    # rank at d - 2 (see above)
+    if checks[2].ok and checks[3].ok and dt:
+        active_rank = d - 2
+    else:
+        active_rank = integer_rank(rec.row for rec in active)
     checks.append(
         Check("face:active-rank", active_rank == d - 2, f"rank {active_rank}, expected {d - 2}")
     )
@@ -428,7 +460,7 @@ def face_certificate(
         genus=ctx.g,
         face_dim=d - active_rank,
         generators=(primitive(gen1.coeffs()), primitive(gen2.coeffs())),
-        active_curves=tuple(rec.curve.tag for rec in active),
+        active_curves=tuple(rec.tags[0] for rec in active),
         active_rank=active_rank,
         lemma_mat=mat,
         det=dt,

@@ -67,10 +67,29 @@ def _slots(g: int) -> tuple[int, ...]:
     return tuple(1 + min(k, g - k) for k in range(g + 1))
 
 
+@lru_cache(maxsize=None)
+def _class_terms(family: str) -> tuple[tuple[int, int | None, tuple[int, ...]], ...]:
+    """``_terms(family)`` divided by the gcd of its coefficients: 12 for
+    C2..C6, 1 for C1.
+
+    Every row built from them has gcd 1: C1's has a = 1, and the b entries
+    of any other row sum to 1, since reflecting subscripts only merges
+    terms and each family's reduced coefficients sum to 1.
+    """
+    terms = _terms(family)
+    q = gcd(*(coeff for coeff, _, _ in terms))
+    return tuple((coeff // q, const, pos) for coeff, const, pos in terms)
+
+
 def _row12(family: str, indices: tuple[int, ...], g: int) -> tuple[int, ...]:
     """12 * (D . C) as integer coefficients on (a, b_0, ..., b_{floor(g/2)})."""
+    return _row(_terms(family), indices, g)
+
+
+def _row(terms, indices: tuple[int, ...], g: int) -> tuple[int, ...]:
+    """The sum of the terms as integer coefficients on (a, b_0, ..., b_{floor(g/2)})."""
     row, slots = [0] * (g // 2 + 2), _slots(g)
-    for coeff, const, pos in _terms(family):
+    for coeff, const, pos in terms:
         if const is None:
             row[0] += coeff
         else:
@@ -120,6 +139,19 @@ class FCurve:
 
     def __str__(self) -> str:
         return self.tag
+
+
+def _on_support(x: tuple[int, ...]):
+    """An itemgetter ``pick`` over the coordinates where x is nonzero, and x
+    picked by it, so that ``sum(map(mul, pick(row), picked_x))`` is row . x.
+
+    The first index is picked again at the end, which keeps a one-coordinate
+    pick a tuple; it is sliced off the picked x, and map stops at the shorter
+    of the two.  When x is zero, coordinate 0 stands in for the empty support.
+    """
+    support = [k for k, v in enumerate(x) if v] or [0]
+    pick = itemgetter(*support, support[0])
+    return pick, pick(x)[:-1]
 
 
 def ineq_row(c: FCurve) -> Vec:
@@ -188,19 +220,17 @@ class FCurveClass:
 @lru_cache(maxsize=None)
 def _classes_cached(ctx: GenusContext) -> tuple[FCurveClass, ...]:
     # curves come in sort-key order, so each group's first member is its
-    # representative and the groups are in the order of their representatives
+    # representative and the groups are in the order of their representatives.
+    # C1 alone has a nonzero a and C2..C6 share the factor 12, so grouping on
+    # family-reduced rows gives the groups of 12 * (D . C), and the rows are
+    # primitive already (see _class_terms)
     groups: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
     for fam, idx in _raw_indices(ctx.g):
-        groups.setdefault(_row12(fam, idx, ctx.g), []).append((fam, idx))
-    records = []
-    for row, members in groups.items():
-        g = gcd(*row)
-        records.append(FCurveClass(
-            FCurve(ctx, *members[0]),
-            tuple([x // g for x in row]),
-            tuple(_tag(fam, idx) for fam, idx in members),
-        ))
-    return tuple(records)
+        groups.setdefault(_row(_class_terms(fam), idx, ctx.g), []).append((fam, idx))
+    return tuple(
+        FCurveClass(FCurve(ctx, *members[0]), row, tuple(_tag(fam, idx) for fam, idx in members))
+        for row, members in groups.items()
+    )
 
 
 def numerical_classes(g) -> list[FCurveClass]:
@@ -227,15 +257,10 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     row is paired only on the coordinates where the divisor is nonzero.
     """
     x = clear_denominators(d.coeffs())
-    support = [k for k, v in enumerate(x) if v]
-    classes = numerical_classes(d.ctx)
-    if not support:  # the zero class meets every curve in 0
+    if not any(x):  # the zero class meets every curve in 0
         return True, None
-    # pair only where the divisor is nonzero; the repeated first index keeps
-    # a one-coordinate pick a tuple, and map stops at the shorter xs
-    pick = itemgetter(*support, support[0])
-    xs = pick(x)[:-1]
-    for rec in classes:
+    pick, xs = _on_support(x)
+    for rec in numerical_classes(d.ctx):
         if sum(map(mul, pick(rec.row), xs)) < 0:
             return False, rec.curve
     return True, None

@@ -5,11 +5,29 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Sequence
 
-from mgnef import as_context, from_coeffs, numerical_classes
-from mgnef.linalg import clear_denominators
+from mgnef import (
+    CertificateFailure,
+    FaceCertificate,
+    FCurve,
+    FCurveClass,
+    QMatrix,
+    as_context,
+    delta,
+    from_coeffs,
+    intersect,
+    is_fnef,
+    lambda_class,
+    numerical_classes,
+    primitive,
+    twelve_lambda_minus_delta0,
+)
+from mgnef.cones import Check
+from mgnef.fcurves import _raw_indices, _row12, _tag
+from mgnef.linalg import clear_denominators, integer_rank
 
 
 def rand_fraction(rng: random.Random, lo=-6, hi=6, max_den=4) -> Fraction:
@@ -125,3 +143,84 @@ def full_row_is_fnef(d):
         if sum(map(mul, rec.row, x)) < 0:
             return False, rec.curve
     return True, None
+
+
+# The references for the face certificate: the lemma matrix built from
+# ``intersect`` calls, and the certificate that pairs through ``intersect``
+# and ranks every active row.  The integer pairings, and the active rank
+# read off the vanishing checks and the lemma determinant, must give the
+# same certificate, or the same failure.
+def intersect_lemma_matrix(g) -> QMatrix:
+    """Pairing of {12*lambda, 12*lambda - delta_0, delta_1, ...} against
+    {C1, C2, C3(1), ...} through ``intersect``."""
+    ctx = as_context(g)
+    row_divs = [lambda_class(ctx).scale(12), twelve_lambda_minus_delta0(ctx)]
+    row_divs += [delta(ctx, i) for i in range(1, ctx.dim - 1)]
+    witness = [FCurve(ctx, "C1"), FCurve(ctx, "C2")]
+    witness += [FCurve(ctx, "C3", (i,)) for i in range(1, ctx.dim - 1)]
+    return QMatrix.from_rows([[intersect(dv, cv) for cv in witness] for dv in row_divs])
+
+
+def full_rank_face_certificate(g, gen1, gen2, gen_labels=("first-generator", "second-generator")):
+    """The face certificate with ``intersect`` values and the rank of
+    every active row."""
+    ctx = as_context(g)
+    d = ctx.dim
+    witness = [FCurve(ctx, "C1"), FCurve(ctx, "C2")]
+    witness += [FCurve(ctx, "C3", (i,)) for i in range(1, d - 1)]
+    checks = []
+    for label, gen in zip(gen_labels, (gen1, gen2)):
+        ok, w = is_fnef(gen)
+        checks.append(Check(f"fnef:{label}", ok, "" if ok else f"negative against {w.tag}"))
+    v1, v2 = ([intersect(gen, c) for c in witness] for gen in (gen1, gen2))
+    combined = gen1 + gen2
+    for label, vals, nonzero in (
+        (gen_labels[0], v1, {0}),
+        (gen_labels[1], v2, {1}),
+        ("interior-combination", [intersect(combined, c) for c in witness], {0, 1}),
+    ):
+        ok = all((x != 0) == (k in nonzero) for k, x in enumerate(vals))
+        detail = "" if ok else f"witness values {[str(x) for x in vals]}"
+        checks.append(Check(f"vanishing:{label}", ok, detail))
+    mat = intersect_lemma_matrix(ctx)
+    dt = mat.det()
+    checks.append(Check("independence:lemma-matrix", dt != 0 and abs(dt) == 1, f"det = {dt}"))
+    x1, x2 = clear_denominators(gen1.coeffs()), clear_denominators(gen2.coeffs())
+    active = [
+        rec for rec in numerical_classes(ctx)
+        if sum(map(mul, rec.row, x1)) == 0 and sum(map(mul, rec.row, x2)) == 0
+    ]
+    active_rank = integer_rank(rec.row for rec in active)
+    checks.append(
+        Check("face:active-rank", active_rank == d - 2, f"rank {active_rank}, expected {d - 2}")
+    )
+    for c in checks:
+        if not c.ok:
+            raise CertificateFailure(c.name, c.detail)
+    return FaceCertificate(
+        genus=ctx.g,
+        face_dim=d - active_rank,
+        generators=(primitive(gen1.coeffs()), primitive(gen2.coeffs())),
+        active_curves=tuple(rec.curve.tag for rec in active),
+        active_rank=active_rank,
+        lemma_mat=mat,
+        det=dt,
+        checks=tuple(checks),
+    )
+
+
+# The reference for mgnef.fcurves' class table: curves grouped on their
+# 12 * (D . C) rows, and each row divided by its gcd.
+def dense_classes(ctx) -> tuple[FCurveClass, ...]:
+    groups = {}
+    for fam, idx in _raw_indices(ctx.g):
+        groups.setdefault(_row12(fam, idx, ctx.g), []).append((fam, idx))
+    records = []
+    for row, members in groups.items():
+        g = gcd(*row)
+        records.append(FCurveClass(
+            FCurve(ctx, *members[0]),
+            tuple([x // g for x in row]),
+            tuple(_tag(fam, idx) for fam, idx in members),
+        ))
+    return tuple(records)

@@ -35,8 +35,16 @@ from mgnef import (
     verify_extremal_face,
     zero_divisor,
 )
+from mgnef import cones
 from mgnef.linalg import integer_rank
-from helpers import fraction_nonneg_combination, rand_fraction, rand_nonneg_fraction
+from helpers import (
+    fraction_nonneg_combination,
+    full_rank_face_certificate,
+    intersect_lemma_matrix,
+    rand_divisor,
+    rand_fraction,
+    rand_nonneg_fraction,
+)
 
 # -- independent brute-force ray oracle ----------------------------------------
 
@@ -496,6 +504,86 @@ def test_certificate_mutation_fails():
     with pytest.raises(CertificateFailure) as exc:
         face_certificate(7, twelve_lambda_minus_delta0(7), lambda_class(7))
     assert exc.value.check_name == "vanishing:first-generator"
+
+
+# -- the certificate against the full-rank reference -------------------------------
+
+
+def test_certificate_matches_full_rank_reference():
+    for g in range(3, 61):
+        cert = verify_extremal_face(g)
+        ref = full_rank_face_certificate(
+            g, lambda_class(g), twelve_lambda_minus_delta0(g), ("lambda", "12lambda-delta0")
+        )
+        assert (cert.active_rank, cert.face_dim, cert.det) == (ref.active_rank, ref.face_dim, ref.det), g
+        assert cert.active_curves == ref.active_curves, g
+        assert cert == ref, g
+
+
+def _certificate_pairs(g):
+    """Generator pairs keyed by what they test; only 'scaled' certifies."""
+    lam, top = lambda_class(g), twelve_lambda_minus_delta0(g)
+    pairs = {
+        "scaled": (lam.scale(3), top.scale(Fraction(2, 5))),
+        "swapped": (top.scale(Fraction(1, 5)), lam.scale(Fraction(2, 3))),
+        "dependent": (lam, lam.scale(Fraction(2, 7))),
+        "not-fnef": (lam, from_coeffs(g, [11, 1] + [0] * (g // 2))),
+        "negated": (lam, top.scale(-1)),
+        "both-zero": (zero_divisor(g), zero_divisor(g)),
+    }
+    rng = random.Random(g)
+    for k in range(4):
+        pairs[f"random-{k}"] = (rand_divisor(rng, g), rand_divisor(rng, g))
+    return pairs
+
+
+@pytest.mark.parametrize("g", [3, 4, 7, 12, 20, 31])
+def test_certificate_pairs_match_full_rank_reference(monkeypatch, g):
+    """Each pair certifies or fails like the reference.  The pairs that
+    fail a generator's vanishing check rank every active row; 'scaled' and
+    'negated' take the active rank from the earlier checks."""
+    ranked = []
+
+    def counting_rank(rows):
+        ranked.append(1)
+        return integer_rank(rows)
+
+    monkeypatch.setattr(cones, "integer_rank", counting_rank)
+    for name, (gen1, gen2) in _certificate_pairs(g).items():
+        try:
+            ref = full_rank_face_certificate(g, gen1, gen2)
+        except CertificateFailure as exc:
+            ref = (exc.check_name, exc.detail)
+        ranked.clear()
+        try:
+            got = face_certificate(g, gen1, gen2)
+        except CertificateFailure as exc:
+            got = (exc.check_name, exc.detail)
+        assert got == ref, (g, name)
+        if name == "scaled":
+            assert isinstance(got, cones.FaceCertificate) and not ranked
+        elif name in ("swapped", "dependent", "both-zero", "not-fnef"):
+            assert got[0].startswith(("fnef:", "vanishing:")) and ranked == [1], (g, name)
+        elif name == "negated":
+            assert got[0] == "fnef:second-generator" and not ranked, (g, name)
+
+
+def test_certificate_genus_mismatch_matches_reference():
+    for gen1, gen2 in ((lambda_class(8), twelve_lambda_minus_delta0(7)),
+                       (lambda_class(7), twelve_lambda_minus_delta0(9))):
+        with pytest.raises(GenusMismatchError) as ref:
+            full_rank_face_certificate(7, gen1, gen2)
+        with pytest.raises(GenusMismatchError) as got:
+            face_certificate(7, gen1, gen2)
+        assert str(got.value) == str(ref.value)
+
+
+def test_lemma_matrix_matches_intersect_reference():
+    for g in range(3, 61):
+        mat, ref = lemma_matrix(g), intersect_lemma_matrix(g)
+        assert mat == ref, g
+        assert all(type(x) is Fraction for x in mat.entries)
+        assert mat.det() == ref.det(), g
 
 
 def test_certificate_json_schema():

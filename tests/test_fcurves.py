@@ -24,7 +24,8 @@ from mgnef import (
     primitive,
     twelve_lambda_minus_delta0,
 )
-from helpers import full_row_is_fnef, rand_divisor, rand_fraction
+from mgnef.fcurves import FORMULAS, _class_terms, _classes_cached
+from helpers import dense_classes, full_row_is_fnef, rand_divisor, rand_fraction
 
 
 def curve(g, family, *indices):
@@ -309,3 +310,24 @@ def test_class_table_matches_fraction_reference():
             assert rec.vector == vector
             assert primitive(ineq_row(rec.curve)) == rec.row
             assert all(type(x) is int for x in rec.row)
+
+
+def test_class_table_matches_dense_reference():
+    """Grouping on family-reduced rows gives the classes, order, rows and
+    tags of grouping on 12 * (D . C) and dividing every row by its gcd."""
+    for g in [*range(3, 81), 120]:
+        ctx = as_context(g)
+        # the uncached build, so the test keeps no table of its own alive
+        assert _classes_cached.__wrapped__(ctx) == dense_classes(ctx), g
+
+
+def test_family_reduced_rows_are_primitive():
+    """The reason the class table divides no row by its gcd: C1's reduced
+    row has a = 1, and every other family's reduced coefficients sum to 1."""
+    for family in FORMULAS:
+        terms = _class_terms(family)
+        if family == "C1":
+            assert [c for c, const, _ in terms if const is None] == [1]
+        else:
+            assert all(const is not None for _, const, _ in terms)
+            assert sum(c for c, _, _ in terms) == 1, family
