@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from .errors import (
     NotMemberError,
     NotPointedError,
 )
-from .fcurves import _on_support, _row12, is_fnef, numerical_classes
+from .fcurves import _pairings12, _witness_rows, is_fnef, numerical_classes
 from .linalg import (
     QMatrix,
     Vec,
@@ -38,7 +37,6 @@ from .linalg import (
     _reduce,
     clear_denominators,
     dot,
-    integer_rank,
     primitive,
     vec,
 )
@@ -353,14 +351,6 @@ def face_of(cone: PolyCone, point, limit: int = DEFAULT_DIM_LIMIT) -> FaceCertif
     )
 
 
-def _witness_rows(ctx) -> list[_Row]:
-    """12 * (D . C) for the witness curves {C1, C2, C3(1), ..., C3(d-2)},
-    one per basis slot, as integer rows."""
-    return [_row12("C1", (), ctx.g), _row12("C2", (), ctx.g)] + [
-        _row12("C3", (i,), ctx.g) for i in range(1, ctx.dim - 1)
-    ]
-
-
 def lemma_matrix(g) -> QMatrix:
     """Pairing of {12*lambda, 12*lambda - delta_0, delta_1, ...} against
     the witness curves {C1, C2, C3(1), ...}, one row and one column per
@@ -371,11 +361,8 @@ def lemma_matrix(g) -> QMatrix:
     witness = _witness_rows(ctx)
     zero, entries = Fraction(0), []
     for dv in row_divs:
-        # the row divisors are integral, so clearing denominators scales by 1
-        pick, x = _on_support(clear_denominators(dv.coeffs()))
-        for row in witness:
-            v = sum(map(mul, pick(row), x))
-            entries.append(Fraction(v, 12) if v else zero)
+        vals, s = _pairings12(dv, ctx, witness)
+        entries += [Fraction(v, 12 * s) if v else zero for v in vals]
     return QMatrix(len(row_divs), len(witness), tuple(entries))
 
 
@@ -388,45 +375,33 @@ def face_certificate(
     """Certify that two divisor classes span a 2-dimensional extremal face
     of the F-nef cone.
 
-    Runs the whole battery: F-nefness of both generators, the vanishing
-    pattern on the witness curves {C1, C2, C3(1), ...}, invertibility of
-    the pairing matrix, and the rank of the common active set.  Raises
-    CertificateFailure on the first violated check.
+    Runs the checks in order: F-nefness of both generators, the vanishing
+    pattern on the witness curves {C1, C2, C3(1), ...}, and invertibility
+    of the pairing matrix.  Raises CertificateFailure on the first violated
+    one.
 
-    The active rank is read off the earlier checks when both generators
-    pass their vanishing checks and the lemma determinant is nonzero: each
-    generator then meets only its own witness curve, so the two are
-    independent and the active rows, which vanish on both, have rank at
-    most d - 2; the witness rows C3(1..d-2) are independent and active, so
-    the rank is exactly d - 2.  Otherwise every active row is ranked.
+    Once they pass, the common active set has rank d - 2 and needs no rank
+    computation: each generator meets only its own witness curve, so the
+    two are independent and the active rows, which vanish on both, have
+    rank at most d - 2; the witness rows C3(1..d-2) are independent and
+    active, so the rank is exactly d - 2.
     """
     ctx = as_context(g)
     d = ctx.dim
-    classes = numerical_classes(ctx)
     witness = _witness_rows(ctx)
     checks: list[Check] = []
 
     for label, gen in zip(gen_labels, (gen1, gen2)):
         ok, w = is_fnef(gen)
         checks.append(Check(f"fnef:{label}", ok, "" if ok else f"negative against {w.tag}"))
-    for gen in (gen1, gen2):
-        if gen.ctx != ctx:
-            raise GenusMismatchError(f"divisor genus {gen.ctx.g} vs curve genus {ctx.g}")
 
-    # each generator meets only its own witness curve, their sum meets both;
-    # a class is x / s with x integral and s > 0, so it meets the curve of
-    # the 12 * (D . C) row in row . x / (12 * s)
-    (x1, s1), (x2, s2) = (
-        (clear_denominators(c), lcm(*(v.denominator for v in c)))
-        for c in (gen1.coeffs(), gen2.coeffs())
-    )
-    for label, x, s, nonzero in (
-        (gen_labels[0], x1, s1, {0}),
-        (gen_labels[1], x2, s2, {1}),
-        ("interior-combination", [u * s2 + v * s1 for u, v in zip(x1, x2)], s1 * s2, {0, 1}),
+    # each generator meets only its own witness curve, their sum meets both
+    pairings = [_pairings12(gen, ctx, witness) for gen in (gen1, gen2)]
+    combined = gen1 + gen2
+    pairings.append(_pairings12(combined, ctx, witness))
+    for label, (vals, s), nonzero in zip(
+        (*gen_labels, "interior-combination"), pairings, ({0}, {1}, {0, 1})
     ):
-        pick, xs = _on_support(x)
-        vals = [sum(map(mul, pick(row), xs)) for row in witness]
         ok = all((v != 0) == (k in nonzero) for k, v in enumerate(vals))
         detail = "" if ok else f"witness values {[str(Fraction(v, 12 * s)) for v in vals]}"
         checks.append(Check(f"vanishing:{label}", ok, detail))
@@ -434,28 +409,17 @@ def face_certificate(
     mat = lemma_matrix(ctx)
     dt = mat.det()
     checks.append(Check("independence:lemma-matrix", dt != 0 and abs(dt) == 1, f"det = {dt}"))
-
-    # u or v is nonzero where either generator is: pick their joint support
-    pick, _ = _on_support([u or v for u, v in zip(x1, x2)])
-    y1, y2 = pick(x1)[:-1], pick(x2)[:-1]
-    active = []
-    for rec in classes:
-        r = pick(rec.row)
-        if not sum(map(mul, r, y1)) and not sum(map(mul, r, y2)):
-            active.append(rec)
-    # both generators' vanishing checks and a nonzero determinant fix the
-    # rank at d - 2 (see above)
-    if checks[2].ok and checks[3].ok and dt:
-        active_rank = d - 2
-    else:
-        active_rank = integer_rank(rec.row for rec in active)
-    checks.append(
-        Check("face:active-rank", active_rank == d - 2, f"rank {active_rank}, expected {d - 2}")
-    )
-
     for c in checks:
         if not c.ok:
             raise CertificateFailure(c.name, c.detail)
+
+    # both generators are F-nef, so a curve is active, meeting both in 0,
+    # exactly when it meets their sum in 0; the rank is d - 2 (see above)
+    classes = numerical_classes(ctx)
+    vals, _ = _pairings12(combined, ctx, (rec.row for rec in classes))
+    active = [rec for rec, v in zip(classes, vals) if not v]
+    active_rank = d - 2
+    checks.append(Check("face:active-rank", True, f"rank {active_rank}, expected {d - 2}"))
     return FaceCertificate(
         genus=ctx.g,
         face_dim=d - active_rank,

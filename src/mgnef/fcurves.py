@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .divisors import DivisorClass, GenusContext, as_context
@@ -159,10 +159,14 @@ def ineq_row(c: FCurve) -> Vec:
     return tuple(Fraction(x, 12) for x in _row12(c.family, c.indices, c.ctx.g))
 
 
+def _same_genus(d: DivisorClass, ctx: GenusContext) -> None:
+    if d.ctx != ctx:
+        raise GenusMismatchError(f"divisor genus {d.ctx.g} vs curve genus {ctx.g}")
+
+
 def intersect(d: DivisorClass, c: FCurve) -> Fraction:
     """Intersection number of a divisor class with an F-curve."""
-    if d.ctx != c.ctx:
-        raise GenusMismatchError(f"divisor genus {d.ctx.g} vs curve genus {c.ctx.g}")
+    _same_genus(d, c.ctx)
     row = _row12(c.family, c.indices, c.ctx.g)
     return sum((x * y for x, y in zip(row, d.coeffs()) if x), Fraction(0)) / 12
 
@@ -171,6 +175,28 @@ def intersection_vector(c: FCurve) -> Vec:
     """(lambda . C, delta_0 . C, ..., delta_{floor(g/2)} . C)."""
     row = _row12(c.family, c.indices, c.ctx.g)
     return (Fraction(row[0], 12),) + tuple(Fraction(-x, 12) for x in row[1:])
+
+
+def _witness_rows(ctx: GenusContext) -> list[tuple[int, ...]]:
+    """12 * (D . C) for the witness curves {C1, C2, C3(1), ..., C3(d-2)},
+    one per basis slot."""
+    return [_row12("C1", (), ctx.g), _row12("C2", (), ctx.g)] + [
+        _row12("C3", (i,), ctx.g) for i in range(1, ctx.dim - 1)
+    ]
+
+
+def _pairings12(d: DivisorClass, ctx: GenusContext, rows) -> tuple[list[int], int]:
+    """Pair d on integers with the genus-ctx curves of the given rows, each
+    12 * (D . C) or a positive multiple of it.
+
+    Returns the values row . x, where x is d's coefficients cleared of
+    denominators, and the scale s of that clearing; for a 12 * (D . C) row,
+    d . C = value / (12 * s).  Each row is paired over d's support only.
+    """
+    _same_genus(d, ctx)
+    c = d.coeffs()
+    pick, xs = _on_support(clear_denominators(c))
+    return [sum(map(mul, pick(row), xs)) for row in rows], lcm(*(v.denominator for v in c))
 
 
 def _raw_indices(n: int):

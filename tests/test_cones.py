@@ -538,34 +538,25 @@ def _certificate_pairs(g):
 
 
 @pytest.mark.parametrize("g", [3, 4, 7, 12, 20, 31])
-def test_certificate_pairs_match_full_rank_reference(monkeypatch, g):
-    """Each pair certifies or fails like the reference.  The pairs that
-    fail a generator's vanishing check rank every active row; 'scaled' and
-    'negated' take the active rank from the earlier checks."""
-    ranked = []
-
-    def counting_rank(rows):
-        ranked.append(1)
-        return integer_rank(rows)
-
-    monkeypatch.setattr(cones, "integer_rank", counting_rank)
+def test_certificate_pairs_match_full_rank_reference(g):
+    """Each pair certifies or fails like the reference, with the same
+    check name and detail."""
     for name, (gen1, gen2) in _certificate_pairs(g).items():
         try:
             ref = full_rank_face_certificate(g, gen1, gen2)
         except CertificateFailure as exc:
             ref = (exc.check_name, exc.detail)
-        ranked.clear()
         try:
             got = face_certificate(g, gen1, gen2)
         except CertificateFailure as exc:
             got = (exc.check_name, exc.detail)
         assert got == ref, (g, name)
         if name == "scaled":
-            assert isinstance(got, cones.FaceCertificate) and not ranked
+            assert isinstance(got, cones.FaceCertificate), g
         elif name in ("swapped", "dependent", "both-zero", "not-fnef"):
-            assert got[0].startswith(("fnef:", "vanishing:")) and ranked == [1], (g, name)
+            assert got[0].startswith(("fnef:", "vanishing:")), (g, name)
         elif name == "negated":
-            assert got[0] == "fnef:second-generator" and not ranked, (g, name)
+            assert got[0] == "fnef:second-generator", (g, name)
 
 
 def test_certificate_genus_mismatch_matches_reference():
