@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import mul
+from itertools import chain, compress
+from operator import attrgetter, mul
 from typing import Sequence
 
 from .divisors import (
@@ -28,7 +28,7 @@ from .errors import (
     NotMemberError,
     NotPointedError,
 )
-from .fcurves import _pairings12, _witness_rows, is_fnef, numerical_classes
+from .fcurves import _mask, _pairings12, _supports, _witness_rows, is_fnef, numerical_classes
 from .linalg import (
     QMatrix,
     Vec,
@@ -378,7 +378,8 @@ def face_certificate(
     Runs the checks in order: F-nefness of both generators, the vanishing
     pattern on the witness curves {C1, C2, C3(1), ...}, and invertibility
     of the pairing matrix.  Raises CertificateFailure on the first violated
-    one.
+    one.  The active set is then read off the pairings with gen1 + gen2;
+    a class whose row is zero on that sum's support is active unpaired.
 
     Once they pass, the common active set has rank d - 2 and needs no rank
     computation: each generator meets only its own witness curve, so the
@@ -416,8 +417,10 @@ def face_certificate(
     # both generators are F-nef, so a curve is active, meeting both in 0,
     # exactly when it meets their sum in 0; the rank is d - 2 (see above)
     classes = numerical_classes(ctx)
-    vals, _ = _pairings12(combined, ctx, (rec.row for rec in classes))
-    active = [rec for rec, v in zip(classes, vals) if not v]
+    meets = list(map(_mask(combined.coeffs()).__and__, _supports(ctx)))
+    vals, _ = _pairings12(combined, ctx, map(attrgetter("row"), compress(classes, meets)))
+    vals = iter(vals)
+    active = [rec for rec, hit in zip(classes, meets) if not (hit and next(vals))]
     active_rank = d - 2
     checks.append(Check("face:active-rank", True, f"rank {active_rank}, expected {d - 2}"))
     return FaceCertificate(

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 
 from .divisors import DivisorClass, GenusContext, as_context
 from .errors import GenusMismatchError, IndexOutOfRangeError
@@ -275,18 +276,45 @@ def enumerate_fcurves(g) -> list[FCurve]:
     return [rec.curve for rec in numerical_classes(g)]
 
 
+@lru_cache(maxsize=None)
+def _bits(dim: int) -> tuple[int, ...]:
+    """1 << k for each coordinate k."""
+    return tuple(1 << k for k in range(dim))
+
+
+def _mask(x) -> int:
+    """The support of a coordinate vector as an int: bit k is set where x[k] != 0."""
+    return sum(compress(_bits(len(x)), x))
+
+
+@lru_cache(maxsize=None)
+def _supports(ctx: GenusContext) -> tuple[int, ...]:
+    """``_mask`` of each class row, in table order.
+
+    Built on the first query that reads it, so building the class table
+    alone does not pay for it.
+    """
+    rows = map(attrgetter("row"), _classes_cached(ctx))
+    return tuple(map(sum, map(compress, repeat(_bits(ctx.dim)), rows)))
+
+
 def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     """Nonnegativity against every F-curve.
 
     Returns (True, None) or (False, witness) where the witness is the
-    violated curve with the smallest (family, indices) key.  Each class
-    row is paired only on the coordinates where the divisor is nonzero.
+    violated curve with the smallest (family, indices) key.  Only the
+    classes whose rows are nonzero somewhere on the divisor's support are
+    paired, each on that support alone: the per-class support bits of
+    ``_supports`` pick them, and any other class pairs to exactly 0, so it
+    is never a witness.
     """
     x = clear_denominators(d.coeffs())
-    if not any(x):  # the zero class meets every curve in 0
+    mask = _mask(x)
+    if not mask:  # the zero class meets every curve in 0
         return True, None
     pick, xs = _on_support(x)
-    for rec in numerical_classes(d.ctx):
+    ctx = d.ctx
+    for rec in compress(_classes_cached(ctx), map(mask.__and__, _supports(ctx))):
         if sum(map(mul, pick(rec.row), xs)) < 0:
             return False, rec.curve
     return True, None

@@ -11,6 +11,7 @@ from typing import Sequence
 
 from mgnef import (
     CertificateFailure,
+    DivisorClass,
     FaceCertificate,
     FCurve,
     FCurveClass,
@@ -26,7 +27,7 @@ from mgnef import (
     twelve_lambda_minus_delta0,
 )
 from mgnef.cones import Check
-from mgnef.fcurves import _raw_indices, _row12, _tag
+from mgnef.fcurves import _on_support, _raw_indices, _row12, _tag
 from mgnef.linalg import clear_denominators, integer_rank
 
 
@@ -143,6 +144,38 @@ def full_row_is_fnef(d):
         if sum(map(mul, rec.row, x)) < 0:
             return False, rec.curve
     return True, None
+
+
+# The reference for the support bits of mgnef.fcurves.is_fnef: every class
+# in table order, each paired on the divisor's support.  Skipping the
+# classes whose rows are zero on that support must give the same verdict
+# and the same witness.
+def full_scan_is_fnef(d):
+    """(True, None), or (False, the first class whose row pairs negatively)."""
+    x = clear_denominators(d.coeffs())
+    if not any(x):
+        return True, None
+    pick, xs = _on_support(x)
+    for rec in numerical_classes(d.ctx):
+        if sum(map(mul, pick(rec.row), xs)) < 0:
+            return False, rec.curve
+    return True, None
+
+
+# The references for DivisorClass arithmetic: every coefficient computed,
+# zero or not.  Skipping the zeros must give equal coefficients of the same
+# type.
+def full_scale(d, c):
+    c = Fraction(c)
+    return DivisorClass(d.ctx, c * d.a, tuple(c * x for x in d.b))
+
+
+def full_add(d, e):
+    return DivisorClass(d.ctx, d.a + e.a, tuple(x + y for x, y in zip(d.b, e.b)))
+
+
+def full_sub(d, e):
+    return DivisorClass(d.ctx, d.a - e.a, tuple(x - y for x, y in zip(d.b, e.b)))
 
 
 # The references for the face certificate: the lemma matrix built from

@@ -510,7 +510,7 @@ def test_certificate_mutation_fails():
 
 
 def test_certificate_matches_full_rank_reference():
-    for g in range(3, 61):
+    for g in [*range(3, 61), 80]:
         cert = verify_extremal_face(g)
         ref = full_rank_face_certificate(
             g, lambda_class(g), twelve_lambda_minus_delta0(g), ("lambda", "12lambda-delta0")

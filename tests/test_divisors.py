@@ -8,6 +8,7 @@ import pytest
 
 import mgnef
 from mgnef import (
+    DivisorClass,
     GenusContext,
     GenusMismatchError,
     IndexOutOfRangeError,
@@ -28,7 +29,7 @@ from mgnef import (
     verify_extremal_face,
     zero_divisor,
 )
-from helpers import rand_divisor, rand_nonneg_fraction
+from helpers import full_add, full_scale, full_sub, rand_divisor, rand_nonneg_fraction
 
 
 def test_genus_context_bounds():
@@ -171,6 +172,43 @@ def test_linear_combination_properties():
     assert linear_combination([], ctx=as_context(5)) == zero_divisor(5)
     with pytest.raises(GenusMismatchError):
         linear_combination([(1, lambda_class(5)), (1, lambda_class(6))])
+
+
+def _typed(d):
+    return [(x, type(x)) for x in d.coeffs()]
+
+
+def _sparse_class(rng, g):
+    """A class with about half its coordinates zero: Fraction coefficients,
+    or hand-built int ones, or a mix of the two."""
+    ctx = as_context(g)
+    kind = rng.choice(("fraction", "int", "mixed"))
+    coeffs = []
+    for _ in range(ctx.dim):
+        n = rng.randint(-6, 6) if rng.random() < 0.5 else 0
+        as_int = kind == "int" or (kind == "mixed" and rng.random() < 0.5)
+        coeffs.append(n if as_int else Fraction(n, rng.randint(1, 4)))
+    return DivisorClass(ctx, coeffs[0], tuple(coeffs[1:]))
+
+
+def test_arithmetic_matches_full_reference():
+    """Skipping zero coefficients keeps every coefficient's value and type."""
+    rng = random.Random(1313)
+    scalars = [0, Fraction(0), -1, 2, Fraction(-3, 4), Fraction(5, 2), "-7/3"]
+    for g in (3, 4, 9, 24, 41):
+        for _ in range(40):
+            d, e = _sparse_class(rng, g), _sparse_class(rng, g)
+            assert _typed(d + e) == _typed(full_add(d, e)), (d, e)
+            assert _typed(d - e) == _typed(full_sub(d, e)), (d, e)
+            for c in scalars + [Fraction(rng.randint(-9, 9), rng.randint(1, 5))]:
+                assert _typed(d.scale(c)) == _typed(full_scale(d, c)), (d, c)
+    # all-int operands: the sum, the difference and each coordinate stay int
+    ctx = as_context(7)
+    d = DivisorClass(ctx, 3, (0, 2, 0, 0))
+    e = DivisorClass(ctx, 0, (1, 0, 0, -4))
+    assert _typed(d + e) == [(3, int), (1, int), (2, int), (0, int), (-4, int)]
+    assert _typed(d - e) == _typed(full_sub(d, e))
+    assert all(t is Fraction for _, t in _typed(d.scale(0)))
 
 
 # -- parsing ------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """F-curve enumeration and intersection formulas."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mgnef import fcurves
 from mgnef import (
     FCurve,
     GenusMismatchError,
@@ -25,7 +29,13 @@ from mgnef import (
     twelve_lambda_minus_delta0,
 )
 from mgnef.fcurves import FORMULAS, _class_terms, _classes_cached
-from helpers import dense_classes, full_row_is_fnef, rand_divisor, rand_fraction
+from helpers import (
+    dense_classes,
+    full_row_is_fnef,
+    full_scan_is_fnef,
+    rand_divisor,
+    rand_fraction,
+)
 
 
 def curve(g, family, *indices):
@@ -225,34 +235,130 @@ def test_is_fnef_minimal_witness():
 
 
 def _supports(rng, dim):
-    """Coordinate sets of the divisors: empty (the zero class), {a},
+    """Coordinate sets of the divisors: empty (the zero class), {a}, {b_0},
     {a, b_0}, three random draws, and all of them."""
-    out = [(), (0,), (0, 1)]
+    out = [(), (0,), (1,), (0, 1)]
     for _ in range(3):
         out.append(tuple(sorted(rng.sample(range(dim), rng.randint(1, dim)))))
     return out + [tuple(range(dim))]
 
 
+def _seeded_divisors(rng, g, per_support):
+    """Divisors on each of ``_supports``; half the time a >= 12*b_0 and
+    every b_i >= 0, so both verdicts come up often."""
+    dim = as_context(g).dim
+    for support in _supports(rng, dim):
+        for _ in range(per_support):
+            coeffs = [0] * dim
+            for k in support:
+                coeffs[k] = rand_fraction(rng)
+            if support and rng.random() < 0.5:
+                coeffs = [abs(c) for c in coeffs]
+                coeffs[0] += 12 * coeffs[1]
+            yield from_coeffs(g, coeffs)
+
+
 def test_is_fnef_support_scan_matches_full_rows():
+    """Pairing only the classes that meet the divisor's support, each on
+    that support, gives the verdict and witness of pairing every class on
+    every coordinate, and of scanning every class on the support."""
     rng = random.Random(311)
     verdicts = []
-    for g in range(3, 41):
-        dim = as_context(g).dim
-        for support in _supports(rng, dim):
-            for _ in range(3):
-                coeffs = [0] * dim
-                for k in support:
-                    coeffs[k] = rand_fraction(rng)
-                # half the time a >= 12*b_0 and every b_i >= 0, so both
-                # verdicts come up often
-                if support and rng.random() < 0.5:
-                    coeffs = [abs(c) for c in coeffs]
-                    coeffs[0] += 12 * coeffs[1]
-                d = from_coeffs(g, coeffs)
-                got = is_fnef(d)
-                assert got == full_row_is_fnef(d), (g, coeffs)
-                verdicts.append(got[0])
+    for g in [*range(3, 41), 80, 120]:
+        for d in _seeded_divisors(rng, g, 3 if g <= 40 else 1):
+            got = is_fnef(d)
+            assert got == full_scan_is_fnef(d) == full_row_is_fnef(d), (g, d.coeffs())
+            verdicts.append(got[0])
     assert verdicts.count(True) > 200 and verdicts.count(False) > 200
+
+
+def _interior_point(g):
+    """Integer coordinates of a divisor positive on every class row:
+    b_k = k(g - k) + 1 for k >= 1, b_0 above half of every b_k, a = 12 b_0."""
+    b0 = g * g // 8 + 2
+    return [12 * b0, b0] + [k * (g - k) + 1 for k in range(1, g // 2 + 1)]
+
+
+def _pair(row, x):
+    return sum(map(operator.mul, row, x))
+
+
+def _only_negative_at(g, rec):
+    """A divisor p - t * rec.row, with p from ``_interior_point``, that
+    pairs negatively with exactly one class, or None on a tie.
+
+    t lies halfway between the first two values at which a class row
+    reaches 0 along the segment, so exactly the first class is negative.
+    """
+    p, r = _interior_point(g), rec.row
+    cuts = sorted(
+        (Fraction(_pair(c.row, p), _pair(c.row, r)), i)
+        for i, c in enumerate(numerical_classes(g))
+        if _pair(c.row, r) > 0
+    )
+    (t1, first), (t2, _) = cuts[0], (cuts[1:] or [(cuts[0][0] + 2, None)])[0]
+    if t1 == t2:
+        return None
+    t = (t1 + t2) / 2
+    return first, from_coeffs(g, [a - t * b for a, b in zip(p, r)])
+
+
+def test_is_fnef_finds_a_late_only_negative_class():
+    """Divisors negative against one C5 or C6 class near the end of the
+    table, and nonnegative against every other class."""
+    seen = 0
+    for g in range(4, 41, 3):
+        classes = numerical_classes(g)
+        late = [rec for rec in classes if rec.curve.family in ("C5", "C6")][-3:]
+        for rec in late:
+            found = _only_negative_at(g, rec)
+            if found is None:
+                continue
+            first, d = found
+            x = d.coeffs()
+            assert [i for i, c in enumerate(classes) if _pair(c.row, x) < 0] == [first]
+            assert classes[first].curve.family in ("C5", "C6")
+            assert is_fnef(d) == full_scan_is_fnef(d) == (False, classes[first].curve), (g, rec.tags)
+            seen += 1
+    assert seen >= 20
+
+
+@st.composite
+def divisors_on_supports(draw):
+    g = draw(st.integers(3, 40))
+    dim = as_context(g).dim
+    support = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
+    rationals = st.fractions(min_value=-8, max_value=8, max_denominator=5)
+    coeffs = [draw(rationals) if k in support else 0 for k in range(dim)]
+    if draw(st.booleans()):  # towards the cone: a >= 12 b_0, every b_i >= 0
+        coeffs = [abs(c) for c in coeffs]
+        coeffs[0] += 12 * coeffs[1]
+    return from_coeffs(g, coeffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(divisors_on_supports())
+def test_is_fnef_property_matches_full_scan(d):
+    assert is_fnef(d) == full_scan_is_fnef(d)
+
+
+def test_support_bits_are_the_nonzero_coordinates(monkeypatch):
+    """Bit k of a class's support is set exactly where its row is nonzero."""
+    for g in [*range(3, 81), 120]:
+        ctx = as_context(g)
+        # an uncached table and build, so the test keeps no table of its own alive
+        table = _classes_cached.__wrapped__(ctx)
+        monkeypatch.setattr(fcurves, "_classes_cached", lambda c: table)
+        bits = fcurves._supports.__wrapped__(ctx)
+        assert len(bits) == len(table), g
+        for rec, got in zip(table, bits):
+            assert got == sum(1 << k for k, v in enumerate(rec.row) if v), (g, rec.tags)
+    monkeypatch.undo()
+    for g in (3, 12, 40):  # the cached bits that is_fnef reads agree
+        rows = [rec.row for rec in numerical_classes(g)]
+        assert fcurves._supports(as_context(g)) == tuple(
+            sum(1 << k for k, v in enumerate(row) if v) for row in rows
+        ), g
 
 
 # -- the integer class table against a Fraction reference -------------------------
