@@ -95,7 +95,7 @@ def _emit(payload: dict, human: str, args) -> None:
 # the scan's work: grid points times C3 curves, and that times the row width
 # g//2 + 2 of each intersection.  The second cap admits every grid the first
 # admits up to g = 1002, whose rows are 503 wide, and a one-point grid up to
-# g = 10029.  At the caps the scan ran in 2-5 s and at most 84 MB of memory
+# g = 10029.  At the caps the scan ran in 1.3-4.9 s and at most 84 MB of memory
 # (g = 3, 20, 1002 and 10026; 2 vCPUs, Python 3.11)
 _BPF_MAX_EVALUATIONS = 100_000
 _BPF_MAX_ROW_ENTRIES = _BPF_MAX_EVALUATIONS * 503
@@ -353,7 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a value that starts with "-", such as "-L", as an option:
+    # pass it as --divisor=-L.  No divisor starts with "--", "-g" or "-h".
+    words: list[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words[-1:] == ["--divisor"] and word[:1] == "-" and word[:2] not in ("--", "-g", "-h"):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = parser.parse_args(words)
     if args.command == "bpf" and (args.m_max < 1 or args.alpha_max < 0 or args.beta_max < 0):
         parser.error("empty bpf grid: need --m-max >= 1, --alpha-max >= 0 and --beta-max >= 0")
     try:

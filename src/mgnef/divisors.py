@@ -66,17 +66,6 @@ def as_context(g: Union[int, GenusContext]) -> GenusContext:
     return g if isinstance(g, GenusContext) else GenusContext(g)
 
 
-_ZERO = Fraction(0)
-
-
-def _add(x, y):
-    return x if not y and type(x) is Fraction else x + y
-
-
-def _sub(x, y):
-    return x if not y and type(x) is Fraction else x - y
-
-
 @dataclass(frozen=True)
 class DivisorClass:
     """Rational divisor class a*lambda - sum b_i delta_i, i = 0..floor(g/2)."""
@@ -112,21 +101,16 @@ class DivisorClass:
                 f"genus {self.ctx.g} combined with genus {other.ctx.g}"
             )
 
-    # Arithmetic skips Fraction operations on zero coefficients, which are
-    # most of them on the paper's face, and gives each coefficient the value
-    # and type the full operation would: x +- 0 is x itself only when x is
-    # a Fraction, and c * 0 is a Fraction zero.
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_ctx(other)
         return DivisorClass(
-            self.ctx, _add(self.a, other.a), tuple(map(_add, self.b, other.b))
+            self.ctx, self.a + other.a, tuple(x + y for x, y in zip(self.b, other.b))
         )
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_ctx(other)
         return DivisorClass(
-            self.ctx, _sub(self.a, other.a), tuple(map(_sub, self.b, other.b))
+            self.ctx, self.a - other.a, tuple(x - y for x, y in zip(self.b, other.b))
         )
 
     def __neg__(self) -> "DivisorClass":
@@ -134,9 +118,7 @@ class DivisorClass:
 
     def scale(self, c) -> "DivisorClass":
         c = Fraction(c)
-        return DivisorClass(
-            self.ctx, c * self.a if self.a else _ZERO, tuple(c * x if x else _ZERO for x in self.b)
-        )
+        return DivisorClass(self.ctx, c * self.a, tuple(c * x for x in self.b))
 
     def __rmul__(self, c) -> "DivisorClass":
         return self.scale(c)

@@ -17,13 +17,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .cones import PolyCone, extreme_rays
 from .divisors import (
     DivisorClass,
     GenusContext,
+    _coeffs,
     _parse_linear,
     as_context,
     boundary_total,
@@ -142,14 +143,21 @@ def parse_abelian(text: str, model_name: str) -> AbelianDivisor:
     return AbelianDivisor(model_name, *_parse_linear(text, 2, atom, "basis class M or D"))
 
 
+# the images of M and D: lambda and delta_0, as named classes of divisors
+# with their arguments after the genus
+_IMAGES = ((lambda_class,), (delta, 0))
+
+
+def _images(model: CompactificationModel) -> tuple:
+    if not model.has_pullback:
+        raise ModelMismatchError(f"no pullback stored in the catalog for model {model.name!r}")
+    return _IMAGES[: model.picard_rank]
+
+
 def basis_images(model: CompactificationModel, ctx) -> tuple[DivisorClass, ...]:
     """Pullback images of the model's basis classes, when the catalog has them."""
     ctx = as_context(ctx)
-    if not model.has_pullback:
-        raise ModelMismatchError(
-            f"no pullback stored in the catalog for model {model.name!r}"
-        )
-    return (lambda_class(ctx), delta(ctx, 0))[: model.picard_rank]
+    return tuple(make(ctx, *args) for make, *args in _images(model))
 
 
 def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> DivisorClass:
@@ -158,11 +166,12 @@ def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> Divisor
         raise ModelMismatchError(
             f"divisor on model {adiv.model!r} pulled back through {model.name!r}"
         )
-    images = basis_images(model, ctx)
-    result = images[0].scale(adiv.a)
-    if len(images) > 1:
-        result = result - images[1].scale(adiv.b)
-    return result
+    ctx = as_context(ctx)
+    v = [Fraction(0)] * ctx.dim
+    for c, (make, *args) in zip((adiv.a, -adiv.b), _images(model)):
+        for i, x in _coeffs(make, ctx, *args):
+            v[i] += c * x
+    return DivisorClass(ctx, v[0], tuple(v[1:]))
 
 
 def pullback_nef_cone(model: CompactificationModel, ctx) -> PolyCone:
@@ -220,7 +229,7 @@ def classify_in_face(d: DivisorClass) -> FaceClassification:
     if alpha == 0:
         return FaceClassification(FaceLocation.RAY_12LAMBDA_DELTA0, alpha, beta)
     return FaceClassification(
-        FaceLocation.INTERIOR, alpha, beta, epsilon=d.a / d.b[0] - 12
+        FaceLocation.INTERIOR, alpha, beta, epsilon=Fraction(d.a, d.b[0]) - 12
     )
 
 
@@ -284,7 +293,7 @@ class BpfEntry:
 
     @property
     def ok(self) -> bool:
-        return all(v == Fraction(-1) for v in self.c3_values)
+        return all(v == -1 for v in self.c3_values)
 
 
 @dataclass(frozen=True)
@@ -293,7 +302,7 @@ class BpfReport:
     entries: tuple[BpfEntry, ...]
     symbolic_ok: bool
 
-    @property
+    @cached_property
     def deviations(self) -> list[BpfEntry]:
         return [e for e in self.entries if not e.ok]
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -213,6 +214,45 @@ def test_pullback_non_nef_input_exit1(capsys):
     assert code == 1
     names = {c["name"]: c["pass"] for c in payload["checks"]}
     assert names == {"model-nef": False, "image-fnef": False}
+
+
+# -- a divisor that starts with "-" -----------------------------------------------
+
+
+@pytest.mark.parametrize("divisor, a, b0, witness",
+                         [("-L", "-1", "0", "C1"), ("-12L-d0", "-12", "-1", "C2")])
+def test_check_divisor_starting_with_minus(capsys, divisor, a, b0, witness):
+    code, payload, _ = run_json(capsys, "check", "--genus", "5", "--divisor", divisor)
+    assert code == 1
+    assert (payload["divisor"]["a"], payload["divisor"]["b"][0]) == (a, b0)
+    assert payload["checks"][0]["witness"] == witness
+
+
+def test_pullback_divisor_starting_with_minus(capsys, monkeypatch):
+    argv = ["pullback", "--genus", "5", "--model", "satake"]
+    joined = run(capsys, *argv, "--divisor=-M")
+    assert joined == (1, "-1*M on satake pulls back to -1*L at genus 5\n"
+                         "nef on the model: no\n"
+                         "F-nef image: no, negative against C1\n"
+                         "location: outside\n", "")
+    assert run(capsys, *argv, "--divisor", "-M") == joined
+    # the console script: main() reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["mgnef", *argv, "--divisor", "-M"])
+    assert main() == 1 and capsys.readouterr().out == joined[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--genus", "5", "--divisor"],
+    ["check", "--divisor", "--genus", "5"],
+    ["check", "--divisor", "-g", "5"],
+    ["pullback", "--genus", "5", "--model", "satake", "--divisor"],
+])
+def test_divisor_without_a_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --divisor: expected one argument" in captured.err
 
 
 # -- bpf --------------------------------------------------------------------------

@@ -13,12 +13,14 @@ from mgnef import (
     PARTIAL,
     MODELS,
     AbelianDivisor,
+    DivisorClass,
     FCurve,
     FaceLocation,
     ModelMismatchError,
     ParseError,
     PolyCone,
     QMatrix,
+    UnsupportedGenusError,
     as_context,
     basis_images,
     bpf_scan,
@@ -37,7 +39,7 @@ from mgnef import (
     twelve_lambda_minus_delta0,
     zero_divisor,
 )
-from helpers import rand_fraction, rand_nonneg_fraction
+from helpers import full_scale, full_sub, rand_fraction, rand_nonneg_fraction
 
 # -- the catalog ----------------------------------------------------------------
 
@@ -166,6 +168,48 @@ def test_pullback_linearity():
         assert lhs == rhs
 
 
+def _typed(d):
+    return [(x, type(x)) for x in d.coeffs()]
+
+
+def test_pullback_matches_arithmetic_reference():
+    """Adding c * x over the images' nonzero coordinates gives every
+    coefficient the value and type that scaling and subtracting the basis
+    images as DivisorClass objects gives."""
+    rng = random.Random(1414)
+    fixed = [0, 1, -1, 12, Fraction(-3, 4), Fraction(5, 2), "-7/3"]
+    for g in (*range(3, 41), 120):
+        for model in (SATAKE, PERFECT):
+            images = basis_images(model, g)
+            for k in range(12):
+                a = fixed[k] if k < len(fixed) else rand_fraction(rng, -20, 20, 6)
+                b = 0 if model is SATAKE else rng.choice([0, rand_fraction(rng, -20, 20, 6)])
+                adiv = AbelianDivisor(model.name, a, b)
+                ref = full_scale(images[0], adiv.a)
+                if model is PERFECT:
+                    ref = full_sub(ref, full_scale(images[1], adiv.b))
+                assert _typed(pullback(model, adiv, g)) == _typed(ref), (g, model.name, a, b)
+
+
+def test_pullback_refusals():
+    """The model is checked before the genus, the genus before the catalog."""
+    mismatch = "divisor on model 'satake' pulled back through 'perfect'"
+    no_pullback = "no pullback stored in the catalog for model 'partial'"
+    partial = parse_abelian("13*M - D", "partial")
+    for g in (5, 2):
+        with pytest.raises(ModelMismatchError) as exc:
+            pullback(PERFECT, AbelianDivisor("satake", 1), g)
+        assert str(exc.value) == mismatch
+    with pytest.raises(ModelMismatchError) as exc:
+        pullback(PARTIAL, partial, 5)
+    assert str(exc.value) == no_pullback
+    with pytest.raises(ModelMismatchError) as exc:
+        basis_images(PARTIAL, 5)
+    assert str(exc.value) == no_pullback
+    with pytest.raises(UnsupportedGenusError):
+        pullback(PARTIAL, partial, 2)
+
+
 @pytest.mark.parametrize("g", range(3, 9))
 def test_pullback_nef_cone_generators(g):
     cone = pullback_nef_cone(PERFECT, g)
@@ -252,6 +296,18 @@ def test_classify_frozen_cases():
     assert classify_in_face(from_coeffs(7, [1, -1, 0, 0, 0])).location is (
         FaceLocation.OUTSIDE
     )
+
+
+@pytest.mark.parametrize("number", [int, Fraction])
+def test_classify_never_gives_a_float(number):
+    ctx = as_context(4)
+    for a, b0, epsilon in ((13, 1, 1), (25, 2, Fraction(1, 2)), (12, 1, None), (5, 0, None),
+                           (0, 0, None), (11, 1, None)):
+        cls = classify_in_face(DivisorClass(ctx, number(a), (number(b0), number(0), number(0))))
+        assert cls.epsilon == epsilon
+        assert epsilon is None or type(cls.epsilon) is Fraction
+        for x in (cls.alpha, cls.beta, cls.epsilon):
+            assert not isinstance(x, float), (a, b0, cls)
 
 
 @pytest.mark.parametrize("g", [3, 5, 8])
