@@ -164,9 +164,9 @@ def cmd_check(args) -> int:
     g = args.genus
     d = parse_divisor(args.divisor, g)
     ok, witness = is_fnef(d)
-    cls = classify_in_face(d)
-    _printable(*d.coeffs(), cls.alpha, cls.beta, cls.epsilon)
     status = semiample_status(d)
+    cls = status.classification
+    _printable(*d.coeffs(), cls.alpha, cls.beta, cls.epsilon)
     payload = {
         "command": "check",
         "genus": g,
@@ -269,8 +269,8 @@ def cmd_bpf(args) -> int:
     g = args.genus
     GenusContext(g)  # refuses g < 3
     # one intersection per grid point and C3(i), i = 1..g-2, each over a row
-    # of g//2 + 2 entries; counted before any grid is built, and never
-    # printed (it may exceed 4300 digits)
+    # of g//2 + 2 entries; counted before the scan, and never printed (it may
+    # exceed 4300 digits)
     points = args.m_max * (args.alpha_max + 1) * (args.beta_max + 1)
     if points * (g - 2) > _BPF_MAX_EVALUATIONS:
         raise MgnefError(
@@ -282,10 +282,7 @@ def cmd_bpf(args) -> int:
             f"exceeds {_BPF_MAX_ROW_ENTRIES}"
         )
     report = bpf_scan(
-        g,
-        list(range(1, args.m_max + 1)),
-        [Fraction(a) for a in range(0, args.alpha_max + 1)],
-        [Fraction(b) for b in range(0, args.beta_max + 1)],
+        g, range(1, args.m_max + 1), range(args.alpha_max + 1), range(args.beta_max + 1)
     )
     payload = {"command": "bpf", **report.to_json_dict()}
     lines = [
@@ -354,10 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     # argparse reads a value that starts with "-", such as "-L", as an option:
-    # pass it as --divisor=-L.  No divisor starts with "--", "-g" or "-h".
+    # pass it as --divisor=-L, also after an abbreviation of the flag (no other
+    # option starts with --d).  No divisor starts with "--", "-g" or "-h".
+    flags = {"--divisor"[:n] for n in range(3, 10)}
     words: list[str] = []
     for word in sys.argv[1:] if argv is None else argv:
-        if words[-1:] == ["--divisor"] and word[:1] == "-" and word[:2] not in ("--", "-g", "-h"):
+        prev = words[-1] if words else ""
+        if prev in flags and word[:1] == "-" and word[:2] not in ("--", "-g", "-h"):
             words[-1] += "=" + word
         else:
             words.append(word)

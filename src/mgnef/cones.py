@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
-from operator import attrgetter, mul
+from itertools import chain
+from operator import mul
 from typing import Sequence
 
 from .divisors import (
@@ -28,7 +28,7 @@ from .errors import (
     NotMemberError,
     NotPointedError,
 )
-from .fcurves import _mask, _pairings12, _supports, _witness_rows, is_fnef, numerical_classes
+from .fcurves import _support_pairings, _witness_values, is_fnef, numerical_classes
 from .linalg import (
     QMatrix,
     Vec,
@@ -358,12 +358,8 @@ def lemma_matrix(g) -> QMatrix:
     ctx = as_context(g)
     row_divs = [lambda_class(ctx).scale(12), twelve_lambda_minus_delta0(ctx)]
     row_divs += [delta(ctx, i) for i in range(1, ctx.dim - 1)]
-    witness = _witness_rows(ctx)
-    zero, entries = Fraction(0), []
-    for dv in row_divs:
-        vals, s = _pairings12(dv, ctx, witness)
-        entries += [Fraction(v, 12 * s) if v else zero for v in vals]
-    return QMatrix(len(row_divs), len(witness), tuple(entries))
+    entries = tuple(v for dv in row_divs for v in _witness_values(dv, ctx))
+    return QMatrix(len(row_divs), ctx.dim, entries)
 
 
 def face_certificate(
@@ -378,8 +374,8 @@ def face_certificate(
     Runs the checks in order: F-nefness of both generators, the vanishing
     pattern on the witness curves {C1, C2, C3(1), ...}, and invertibility
     of the pairing matrix.  Raises CertificateFailure on the first violated
-    one.  The active set is then read off the pairings with gen1 + gen2;
-    a class whose row is zero on that sum's support is active unpaired.
+    one.  The active set is then every class that the support scan of
+    gen1 + gen2 does not yield with a nonzero value.
 
     Once they pass, the common active set has rank d - 2 and needs no rank
     computation: each generator meets only its own witness curve, so the
@@ -389,22 +385,22 @@ def face_certificate(
     """
     ctx = as_context(g)
     d = ctx.dim
-    witness = _witness_rows(ctx)
     checks: list[Check] = []
 
     for label, gen in zip(gen_labels, (gen1, gen2)):
         ok, w = is_fnef(gen)
         checks.append(Check(f"fnef:{label}", ok, "" if ok else f"negative against {w.tag}"))
 
-    # each generator meets only its own witness curve, their sum meets both
-    pairings = [_pairings12(gen, ctx, witness) for gen in (gen1, gen2)]
+    # each generator meets only its own witness curve, their sum meets both;
+    # pairing the generators first refuses one of another genus before the sum
+    values = [_witness_values(gen, ctx) for gen in (gen1, gen2)]
     combined = gen1 + gen2
-    pairings.append(_pairings12(combined, ctx, witness))
-    for label, (vals, s), nonzero in zip(
-        (*gen_labels, "interior-combination"), pairings, ({0}, {1}, {0, 1})
+    values.append(_witness_values(combined, ctx))
+    for label, vals, nonzero in zip(
+        (*gen_labels, "interior-combination"), values, ({0}, {1}, {0, 1})
     ):
         ok = all((v != 0) == (k in nonzero) for k, v in enumerate(vals))
-        detail = "" if ok else f"witness values {[str(Fraction(v, 12 * s)) for v in vals]}"
+        detail = "" if ok else f"witness values {[str(v) for v in vals]}"
         checks.append(Check(f"vanishing:{label}", ok, detail))
 
     mat = lemma_matrix(ctx)
@@ -416,11 +412,8 @@ def face_certificate(
 
     # both generators are F-nef, so a curve is active, meeting both in 0,
     # exactly when it meets their sum in 0; the rank is d - 2 (see above)
-    classes = numerical_classes(ctx)
-    meets = list(map(_mask(combined.coeffs()).__and__, _supports(ctx)))
-    vals, _ = _pairings12(combined, ctx, map(attrgetter("row"), compress(classes, meets)))
-    vals = iter(vals)
-    active = [rec for rec, hit in zip(classes, meets) if not (hit and next(vals))]
+    paired = {id(rec) for rec, v in _support_pairings(combined) if v}
+    active = [rec for rec in numerical_classes(ctx) if id(rec) not in paired]
     active_rank = d - 2
     checks.append(Check("face:active-rank", True, f"rank {active_rank}, expected {d - 2}"))
     return FaceCertificate(

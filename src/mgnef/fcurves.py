@@ -44,6 +44,8 @@ FORMULAS = {
                     (-12, "b_{i+j}"), (-12, "b_{i+k}"), (-12, "b_{i+l}"))),
 }
 
+_ZERO = Fraction(0)  # shared by every zero witness value
+
 
 @lru_cache(maxsize=None)
 def _terms(family: str) -> tuple[tuple[int, int | None, tuple[int, ...]], ...]:
@@ -178,26 +180,23 @@ def intersection_vector(c: FCurve) -> Vec:
     return (Fraction(row[0], 12),) + tuple(Fraction(-x, 12) for x in row[1:])
 
 
-def _witness_rows(ctx: GenusContext) -> list[tuple[int, ...]]:
-    """12 * (D . C) for the witness curves {C1, C2, C3(1), ..., C3(d-2)},
-    one per basis slot."""
-    return [_row12("C1", (), ctx.g), _row12("C2", (), ctx.g)] + [
-        _row12("C3", (i,), ctx.g) for i in range(1, ctx.dim - 1)
-    ]
+@lru_cache(maxsize=None)
+def _witness_rows(ctx: GenusContext) -> tuple[tuple[int, ...], ...]:
+    """12 * (D . C) for the witness curves {C1, C2, C3(1), ..., C3(d-2)}."""
+    curves = [("C1", ()), ("C2", ())] + [("C3", (i,)) for i in range(1, ctx.dim - 1)]
+    return tuple(_row12(fam, idx, ctx.g) for fam, idx in curves)
 
 
-def _pairings12(d: DivisorClass, ctx: GenusContext, rows) -> tuple[list[int], int]:
-    """Pair d on integers with the genus-ctx curves of the given rows, each
-    12 * (D . C) or a positive multiple of it.
-
-    Returns the values row . x, where x is d's coefficients cleared of
-    denominators, and the scale s of that clearing; for a 12 * (D . C) row,
-    d . C = value / (12 * s).  Each row is paired over d's support only.
-    """
+def _witness_values(d: DivisorClass, ctx: GenusContext) -> list[Fraction]:
+    """d . C for the genus-ctx witness curves, one per basis slot: each row
+    paired with d's coefficients cleared of denominators, on d's support,
+    over 12 times the clearing scale.  Every zero value is one object."""
     _same_genus(d, ctx)
     c = d.coeffs()
     pick, xs = _on_support(clear_denominators(c))
-    return [sum(map(mul, pick(row), xs)) for row in rows], lcm(*(v.denominator for v in c))
+    scale = 12 * lcm(*(v.denominator for v in c))
+    vals = [sum(map(mul, pick(row), xs)) for row in _witness_rows(ctx)]
+    return [Fraction(v, scale) if v else _ZERO for v in vals]
 
 
 def _raw_indices(n: int):
@@ -282,14 +281,10 @@ def _bits(dim: int) -> tuple[int, ...]:
     return tuple(1 << k for k in range(dim))
 
 
-def _mask(x) -> int:
-    """The support of a coordinate vector as an int: bit k is set where x[k] != 0."""
-    return sum(compress(_bits(len(x)), x))
-
-
 @lru_cache(maxsize=None)
 def _supports(ctx: GenusContext) -> tuple[int, ...]:
-    """``_mask`` of each class row, in table order.
+    """The support of each class row as an int, in table order: bit k is
+    set where the row is nonzero.
 
     Built on the first query that reads it, so building the class table
     alone does not pay for it.
@@ -298,23 +293,29 @@ def _supports(ctx: GenusContext) -> tuple[int, ...]:
     return tuple(map(sum, map(compress, repeat(_bits(ctx.dim)), rows)))
 
 
+def _support_pairings(d: DivisorClass):
+    """(class, value) in table order for each class whose row is nonzero on
+    d's support, nothing for the zero class.  The value, the row paired with
+    d's coefficients cleared of denominators on that support, is a positive
+    multiple of d . C; a class not yielded meets d in exactly 0."""
+    x = clear_denominators(d.coeffs())
+    mask = sum(compress(_bits(len(x)), x))
+    if not mask:
+        return
+    pick, xs = _on_support(x)
+    ctx = d.ctx
+    for rec in compress(_classes_cached(ctx), map(mask.__and__, _supports(ctx))):
+        yield rec, sum(map(mul, pick(rec.row), xs))
+
+
 def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     """Nonnegativity against every F-curve.
 
     Returns (True, None) or (False, witness) where the witness is the
-    violated curve with the smallest (family, indices) key.  Only the
-    classes whose rows are nonzero somewhere on the divisor's support are
-    paired, each on that support alone: the per-class support bits of
-    ``_supports`` pick them, and any other class pairs to exactly 0, so it
-    is never a witness.
+    violated curve with the smallest (family, indices) key.  A class that
+    ``_support_pairings`` does not yield pairs to 0 and is never a witness.
     """
-    x = clear_denominators(d.coeffs())
-    mask = _mask(x)
-    if not mask:  # the zero class meets every curve in 0
-        return True, None
-    pick, xs = _on_support(x)
-    ctx = d.ctx
-    for rec in compress(_classes_cached(ctx), map(mask.__and__, _supports(ctx))):
-        if sum(map(mul, pick(rec.row), xs)) < 0:
+    for rec, value in _support_pairings(d):
+        if value < 0:
             return False, rec.curve
     return True, None

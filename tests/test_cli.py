@@ -9,6 +9,7 @@ import pytest
 
 from mgnef import cli
 from mgnef.cli import main
+from mgnef.errors import CertificateFailure
 from mgnef.fcurves import _classes_cached
 from helpers import assert_no_floats, assert_rational_strings_canonical
 
@@ -141,6 +142,24 @@ def test_certify_json(capsys):
     assert payload["generators"][0][0] == "1"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_certify_failure_exit1(capsys, monkeypatch, fmt):
+    def fail(g):
+        raise CertificateFailure("vanishing:lambda", "witness values ['0', '1']")
+
+    monkeypatch.setattr(cli, "verify_extremal_face", fail)
+    code, out, err = run(capsys, "certify", "--genus", "7", "--format", fmt)
+    assert code == 1 and err == ""
+    if fmt == "text":
+        assert out == "certificate FAILED at vanishing:lambda: witness values ['0', '1']\n"
+    else:
+        assert json.loads(out) == {
+            "command": "certify",
+            "genus": 7,
+            "error": {"check": "vanishing:lambda", "detail": "witness values ['0', '1']"},
+        }
+
+
 def test_certify_text(capsys):
     code, out, _ = run(capsys, "certify", "--genus", "12")
     assert code == 0
@@ -241,8 +260,18 @@ def test_pullback_divisor_starting_with_minus(capsys, monkeypatch):
     assert main() == 1 and capsys.readouterr().out == joined[1]
 
 
+@pytest.mark.parametrize("flag", ["--div", "--d", "--diviso"])
+def test_abbreviated_divisor_flag_takes_a_value_starting_with_minus(capsys, flag):
+    code, payload, _ = run_json(capsys, "check", "--genus", "5", flag, "-L")
+    assert code == 1
+    assert (payload["divisor"]["a"], payload["checks"][0]["witness"]) == ("-1", "C1")
+    code, out, err = run(capsys, "pullback", "--genus", "5", "--model", "satake", flag, "-M")
+    assert code == 1 and "F-nef image: no, negative against C1" in out and err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--genus", "5", "--divisor"],
+    ["check", "--genus", "5", "--div"],
     ["check", "--divisor", "--genus", "5"],
     ["check", "--divisor", "-g", "5"],
     ["pullback", "--genus", "5", "--model", "satake", "--divisor"],
@@ -288,9 +317,8 @@ ONE_POINT = ["--m-max", "1", "--alpha-max", "0", "--beta-max", "0"]
 ])
 def test_bpf_grid_over_the_cap_is_refused_before_it_is_built(capsys, monkeypatch, argv):
     def fail(*args):
-        raise AssertionError("the grid was built")
+        raise AssertionError("the grid was scanned")
 
-    monkeypatch.setattr(cli, "range", fail, raising=False)  # shadows the builtin in cmd_bpf
     monkeypatch.setattr(cli, "bpf_scan", fail)
     code, out, err = run(capsys, "bpf", *argv)
     assert code == 1 and out == ""

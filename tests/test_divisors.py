@@ -267,6 +267,10 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as exc:
         parse_divisor("\u00b2*L", g)  # superscript two: a digit, but not a decimal one
     assert exc.value.position == 0
+    for text, pos in (("d", 1), ("L - d", 5), ("1/ * L", 2)):
+        with pytest.raises(ParseError, match="expected a number") as exc:
+            parse_divisor(text, g)
+        assert exc.value.position == pos, text
     with pytest.raises(ParseError):
         parse_divisor("L L", g)
     with pytest.raises(ParseError):

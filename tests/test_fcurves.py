@@ -342,6 +342,29 @@ def test_is_fnef_property_matches_full_scan(d):
     assert is_fnef(d) == full_scan_is_fnef(d)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(divisors_on_supports())
+def test_support_scan_and_witness_values_match_intersect(d):
+    """The scan yields, in table order, every class that meets d in a
+    nonzero number, with a value of that number's sign; the witness values
+    are d . C for C1, C2, C3(1..d-2), every zero the same object."""
+    ctx = d.ctx
+    classes = numerical_classes(ctx)
+    signs = [(rec, (v > 0) - (v < 0)) for rec, v in fcurves._support_pairings(d)]
+    assert [rec for rec, s in signs if s] == [
+        rec for rec in classes if intersect(d, rec.curve)
+    ]
+    for rec, s in signs:
+        v = intersect(d, rec.curve)
+        assert s == (v > 0) - (v < 0), rec.tags
+    witness = [curve(ctx.g, "C1"), curve(ctx.g, "C2")]
+    witness += [curve(ctx.g, "C3", i) for i in range(1, ctx.dim - 1)]
+    values = fcurves._witness_values(d, ctx)
+    assert values == [intersect(d, c) for c in witness]
+    assert all(type(v) is Fraction for v in values)
+    assert len({id(v) for v in values if not v}) <= 1
+
+
 def test_support_bits_are_the_nonzero_coordinates(monkeypatch):
     """Bit k of a class's support is set exactly where its row is nonzero."""
     for g in [*range(3, 81), 120]:
