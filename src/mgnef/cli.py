@@ -102,7 +102,7 @@ _BPF_MAX_ROW_ENTRIES = _BPF_MAX_EVALUATIONS * 503
 
 # fcurves, check, certify and pullback build the class table, which grows
 # about as g^3; at the cap the slowest, fcurves --format json, ran in 3.6 s
-# and 126 MB of memory, certify in 0.3 s and 34 MB (2 vCPUs, Python 3.11)
+# and 126 MB of memory, certify in 0.2 s and 33 MB (2 vCPUs, Python 3.11)
 _TABLE_MAX_GENUS = 120
 
 

@@ -28,7 +28,7 @@ from .errors import (
     NotMemberError,
     NotPointedError,
 )
-from .fcurves import _support_pairings, _witness_values, is_fnef, numerical_classes
+from .fcurves import _support_pairings, _table, _witness_values, is_fnef, numerical_classes
 from .linalg import (
     QMatrix,
     Vec,
@@ -412,15 +412,15 @@ def face_certificate(
 
     # both generators are F-nef, so a curve is active, meeting both in 0,
     # exactly when it meets their sum in 0; the rank is d - 2 (see above)
-    paired = {id(rec) for rec, v in _support_pairings(combined) if v}
-    active = [rec for rec in numerical_classes(ctx) if id(rec) not in paired]
+    paired = {k for k, v in _support_pairings(combined) if v}
+    active = tuple(tags[0] for k, tags in enumerate(_table(ctx).tags) if k not in paired)
     active_rank = d - 2
     checks.append(Check("face:active-rank", True, f"rank {active_rank}, expected {d - 2}"))
     return FaceCertificate(
         genus=ctx.g,
         face_dim=d - active_rank,
         generators=(primitive(gen1.coeffs()), primitive(gen2.coeffs())),
-        active_curves=tuple(rec.tags[0] for rec in active),
+        active_curves=active,
         active_rank=active_rank,
         lemma_mat=mat,
         det=dt,

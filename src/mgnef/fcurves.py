@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress, groupby
 from math import gcd, lcm
-from operator import attrgetter, itemgetter, mul
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .divisors import DivisorClass, GenusContext, as_context
 from .errors import GenusMismatchError, IndexOutOfRangeError
@@ -86,12 +87,12 @@ def _class_terms(family: str) -> tuple[tuple[int, int | None, tuple[int, ...]], 
 
 def _row12(family: str, indices: tuple[int, ...], g: int) -> tuple[int, ...]:
     """12 * (D . C) as integer coefficients on (a, b_0, ..., b_{floor(g/2)})."""
-    return _row(_terms(family), indices, g)
+    return _row(_terms(family), indices, g, _slots(g))
 
 
-def _row(terms, indices: tuple[int, ...], g: int) -> tuple[int, ...]:
+def _row(terms, indices: tuple[int, ...], g: int, slots: tuple[int, ...]) -> tuple[int, ...]:
     """The sum of the terms as integer coefficients on (a, b_0, ..., b_{floor(g/2)})."""
-    row, slots = [0] * (g // 2 + 2), _slots(g)
+    row = [0] * (g // 2 + 2)
     for coeff, const, pos in terms:
         if const is None:
             row[0] += coeff
@@ -103,8 +104,15 @@ def _row(terms, indices: tuple[int, ...], g: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+@lru_cache(maxsize=None)
+def _tag_format(family: str) -> str:
+    """The tag of the family's curves as a %-format of their indices."""
+    n = len(FORMULAS[family][0])
+    return f"{family}({','.join(['%d'] * n)})" if n else family
+
+
 def _tag(family: str, indices: tuple[int, ...]) -> str:
-    return f"{family}({','.join(map(str, indices))})" if indices else family
+    return _tag_format(family) % tuple(indices)
 
 
 @dataclass(frozen=True)
@@ -210,12 +218,12 @@ def _raw_indices(n: int):
     for i in range(1, n):
         for j in range(i, n - i):
             yield "C5", (i, j)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                l = n - i - j - k
-                if l >= k:
-                    yield "C6", (i, j, k, l)
+    # i <= j <= k <= l with i + j + k + l = n bounds i by n/4, j by (n-i)/3
+    # and k by (n-i-j)/2
+    for i in range(1, n // 4 + 1):
+        for j in range(i, (n - i) // 3 + 1):
+            for k in range(j, (n - i - j) // 2 + 1):
+                yield "C6", (i, j, k, n - i - j - k)
 
 
 def enumerate_fcurves_raw(g) -> list[FCurve]:
@@ -227,6 +235,45 @@ def enumerate_fcurves_raw(g) -> list[FCurve]:
     """
     ctx = as_context(g)
     return [FCurve(ctx, fam, idx) for fam, idx in _raw_indices(ctx.g)]
+
+
+@lru_cache(maxsize=None)
+def _bits(dim: int) -> tuple[int, ...]:
+    """1 << k for each coordinate k."""
+    return tuple(1 << k for k in range(dim))
+
+
+class _Table(NamedTuple):
+    """The class table of one genus as columns, in table order."""
+
+    rows: tuple[tuple[int, ...], ...]  # primitive integer rows
+    bits: tuple[int, ...]  # each row's support: bit k set where row[k] != 0
+    keys: tuple[tuple[str, tuple[int, ...]], ...]  # representative (family, indices)
+    tags: tuple[tuple[str, ...], ...]  # member tags, representative first
+    # 0, 1, ...: the scan compresses these instead of making an int per class
+    positions: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _table(ctx: GenusContext) -> _Table:
+    # curves come in sort-key order, so each group's first member is its
+    # representative and the groups are in the order of their representatives.
+    # C1 alone has a nonzero a and C2..C6 share the factor 12, so grouping on
+    # family-reduced rows gives the groups of 12 * (D . C), and the rows are
+    # primitive already (see _class_terms)
+    g, slots = ctx.g, _slots(ctx.g)
+    groups: dict[tuple[int, ...], list[str]] = {}
+    keys = []
+    for fam, curves in groupby(_raw_indices(g), itemgetter(0)):
+        terms, tag = _class_terms(fam), _tag_format(fam)
+        for key in curves:
+            tags = groups.setdefault(_row(terms, key[1], g, slots), [])
+            if not tags:
+                keys.append(key)
+            tags.append(tag % key[1])
+    bits = _bits(ctx.dim)
+    return _Table(tuple(groups), tuple(sum(compress(bits, row)) for row in groups),
+                  tuple(keys), tuple(map(tuple, groups.values())), tuple(range(len(keys))))
 
 
 @dataclass(frozen=True)
@@ -245,18 +292,10 @@ class FCurveClass:
 
 @lru_cache(maxsize=None)
 def _classes_cached(ctx: GenusContext) -> tuple[FCurveClass, ...]:
-    # curves come in sort-key order, so each group's first member is its
-    # representative and the groups are in the order of their representatives.
-    # C1 alone has a nonzero a and C2..C6 share the factor 12, so grouping on
-    # family-reduced rows gives the groups of 12 * (D . C), and the rows are
-    # primitive already (see _class_terms)
-    groups: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
-    for fam, idx in _raw_indices(ctx.g):
-        groups.setdefault(_row(_class_terms(fam), idx, ctx.g), []).append((fam, idx))
-    return tuple(
-        FCurveClass(FCurve(ctx, *members[0]), row, tuple(_tag(fam, idx) for fam, idx in members))
-        for row, members in groups.items()
-    )
+    """The class table as objects, sharing the table's tuples."""
+    t = _table(ctx)
+    return tuple(FCurveClass(FCurve(ctx, *key), row, tags)
+                 for key, row, tags in zip(t.keys, t.rows, t.tags))
 
 
 def numerical_classes(g) -> list[FCurveClass]:
@@ -275,37 +314,20 @@ def enumerate_fcurves(g) -> list[FCurve]:
     return [rec.curve for rec in numerical_classes(g)]
 
 
-@lru_cache(maxsize=None)
-def _bits(dim: int) -> tuple[int, ...]:
-    """1 << k for each coordinate k."""
-    return tuple(1 << k for k in range(dim))
-
-
-@lru_cache(maxsize=None)
-def _supports(ctx: GenusContext) -> tuple[int, ...]:
-    """The support of each class row as an int, in table order: bit k is
-    set where the row is nonzero.
-
-    Built on the first query that reads it, so building the class table
-    alone does not pay for it.
-    """
-    rows = map(attrgetter("row"), _classes_cached(ctx))
-    return tuple(map(sum, map(compress, repeat(_bits(ctx.dim)), rows)))
-
-
 def _support_pairings(d: DivisorClass):
-    """(class, value) in table order for each class whose row is nonzero on
-    d's support, nothing for the zero class.  The value, the row paired with
-    d's coefficients cleared of denominators on that support, is a positive
-    multiple of d . C; a class not yielded meets d in exactly 0."""
+    """(class index, value) in table order for each class whose row is
+    nonzero on d's support, nothing for the zero class.  The value, the row
+    paired with d's coefficients cleared of denominators on that support, is
+    a positive multiple of d . C; a class not yielded meets d in exactly 0."""
     x = clear_denominators(d.coeffs())
     mask = sum(compress(_bits(len(x)), x))
     if not mask:
         return
     pick, xs = _on_support(x)
-    ctx = d.ctx
-    for rec in compress(_classes_cached(ctx), map(mask.__and__, _supports(ctx))):
-        yield rec, sum(map(mul, pick(rec.row), xs))
+    t = _table(d.ctx)
+    rows = t.rows
+    for k in compress(t.positions, map(mask.__and__, t.bits)):
+        yield k, sum(map(mul, pick(rows[k]), xs))
 
 
 def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
@@ -315,7 +337,7 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     violated curve with the smallest (family, indices) key.  A class that
     ``_support_pairings`` does not yield pairs to 0 and is never a witness.
     """
-    for rec, value in _support_pairings(d):
+    for k, value in _support_pairings(d):
         if value < 0:
-            return False, rec.curve
+            return False, FCurve(d.ctx, *_table(d.ctx).keys[k])
     return True, None

@@ -27,8 +27,9 @@ from mgnef import (
     numerical_classes,
     primitive,
     twelve_lambda_minus_delta0,
+    verify_extremal_face,
 )
-from mgnef.fcurves import FORMULAS, _class_terms, _classes_cached
+from mgnef.fcurves import FORMULAS, _class_terms, _classes_cached, _table
 from helpers import (
     dense_classes,
     full_row_is_fnef,
@@ -350,7 +351,10 @@ def test_support_scan_and_witness_values_match_intersect(d):
     are d . C for C1, C2, C3(1..d-2), every zero the same object."""
     ctx = d.ctx
     classes = numerical_classes(ctx)
-    signs = [(rec, (v > 0) - (v < 0)) for rec, v in fcurves._support_pairings(d)]
+    pairings = list(fcurves._support_pairings(d))
+    indices = [k for k, _ in pairings]
+    assert indices == sorted(set(indices)) and all(0 <= k < len(classes) for k in indices)
+    signs = [(classes[k], (v > 0) - (v < 0)) for k, v in pairings]
     assert [rec for rec, s in signs if s] == [
         rec for rec in classes if intersect(d, rec.curve)
     ]
@@ -365,23 +369,52 @@ def test_support_scan_and_witness_values_match_intersect(d):
     assert len({id(v) for v in values if not v}) <= 1
 
 
-def test_support_bits_are_the_nonzero_coordinates(monkeypatch):
+def test_support_bits_are_the_nonzero_coordinates():
     """Bit k of a class's support is set exactly where its row is nonzero."""
     for g in [*range(3, 81), 120]:
-        ctx = as_context(g)
-        # an uncached table and build, so the test keeps no table of its own alive
-        table = _classes_cached.__wrapped__(ctx)
-        monkeypatch.setattr(fcurves, "_classes_cached", lambda c: table)
-        bits = fcurves._supports.__wrapped__(ctx)
-        assert len(bits) == len(table), g
-        for rec, got in zip(table, bits):
-            assert got == sum(1 << k for k, v in enumerate(rec.row) if v), (g, rec.tags)
-    monkeypatch.undo()
+        # the uncached build, so the test keeps no table of its own alive
+        table = _table.__wrapped__(as_context(g))
+        assert len({len(table.rows), len(table.bits), len(table.keys), len(table.tags)}) == 1, g
+        assert table.positions == tuple(range(len(table.rows))), g
+        for row, got, tags in zip(table.rows, table.bits, table.tags):
+            assert got == sum(1 << k for k, v in enumerate(row) if v), (g, tags)
     for g in (3, 12, 40):  # the cached bits that is_fnef reads agree
         rows = [rec.row for rec in numerical_classes(g)]
-        assert fcurves._supports(as_context(g)) == tuple(
+        assert _table(as_context(g)).bits == tuple(
             sum(1 << k for k, v in enumerate(row) if v) for row in rows
         ), g
+
+
+def test_class_objects_share_the_table_tuples():
+    """The object view keeps no second copy of a row, an index or a tag tuple,
+    and its representatives are the table's keys."""
+    for g in (3, 12, 40):
+        ctx = as_context(g)
+        table = _table(ctx)
+        classes = _classes_cached(ctx)
+        assert len(classes) == len(table.rows), g
+        for rec, key, row, tags in zip(classes, table.keys, table.rows, table.tags):
+            assert (rec.curve.family, rec.curve.indices) == key
+            assert rec.curve.indices is key[1] and rec.row is row and rec.tags is tags
+
+
+def test_certificate_builds_no_class_objects(monkeypatch):
+    """verify_extremal_face at a genus not yet built builds the integer table
+    once and no FCurveClass; the F-nef generators need no witness FCurve."""
+    built = []
+    post_init = fcurves.FCurve.__post_init__
+    monkeypatch.setattr(fcurves.FCurve, "__post_init__", lambda c: built.append(c) or post_init(c))
+    g = 97  # used by no other test
+    table, classes = _table.cache_info(), _classes_cached.cache_info()
+    cert = verify_extremal_face(g)
+    assert cert.active_rank == as_context(g).dim - 2
+    assert _table.cache_info().misses == table.misses + 1
+    assert _classes_cached.cache_info().misses == classes.misses
+    assert built == []
+    # a failing query builds exactly its witness, from the table's key
+    ok, witness = is_fnef(from_coeffs(g, [1] + [0] * (as_context(g).dim - 2) + [-1]))
+    assert not ok and built == [witness]
+    assert _table.cache_info().misses == table.misses + 1
 
 
 # -- the integer class table against a Fraction reference -------------------------
