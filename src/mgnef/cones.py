@@ -8,12 +8,12 @@ so output is reproducible across runs and machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
 from typing import Sequence
 
+from ._record import Record
 from .divisors import (
     DivisorClass,
     as_context,
@@ -46,30 +46,31 @@ DEFAULT_DIM_LIMIT = 8
 _Row = tuple[int, ...]  # an inequality row or a ray, in primitive integer form
 
 
-@dataclass(frozen=True)
-class PolyCone:
+class PolyCone(Record):
     """Rational polyhedral cone with labelled inequalities.
 
     ``ineq_rows[i]`` is the functional of the constraint ``row . x >= 0``
     and ``labels[i]`` names where it came from (an F-curve tag, usually).
     """
 
-    dim: int
-    ineq_rows: tuple[_Row, ...] = ()
-    labels: tuple[str, ...] = ()
-    generators: tuple[_Row, ...] | None = None
-    genus: int | None = None
+    _fields = ("dim", "ineq_rows", "labels", "generators", "genus")
 
-    def __post_init__(self):
-        if self.labels and len(self.labels) != len(self.ineq_rows):
+    def __init__(self, dim: int, ineq_rows: tuple[_Row, ...] = (), labels: tuple[str, ...] = (),
+                 generators: tuple[_Row, ...] | None = None, genus: int | None = None):
+        if labels and len(labels) != len(ineq_rows):
             raise ValueError("one label per inequality row")
-        for r in self.ineq_rows:
-            if len(r) != self.dim:
+        for r in ineq_rows:
+            if len(r) != dim:
                 raise ValueError("inequality row with the wrong length")
-        if self.generators is not None:
-            for g in self.generators:
-                if len(g) != self.dim:
+        if generators is not None:
+            for g in generators:
+                if len(g) != dim:
                     raise ValueError("generator with the wrong length")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "ineq_rows", ineq_rows)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "genus", genus)
 
     @classmethod
     def from_inequalities(cls, rows: Sequence[Sequence], labels=None, genus=None) -> "PolyCone":
@@ -254,25 +255,32 @@ def extreme_rays(cone: PolyCone, limit: int = DEFAULT_DIM_LIMIT) -> list[_Row]:
 # -- faces and certificates ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(Record):
+    _fields = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class FaceCertificate:
+class FaceCertificate(Record):
     """Audit record for a face of a cone."""
 
-    genus: int | None
-    face_dim: int
-    generators: tuple[_Row, ...] | None
-    active_curves: tuple[str, ...]
-    active_rank: int
-    lemma_mat: QMatrix | None
-    det: Fraction | None
-    checks: tuple[Check, ...] = ()
+    _fields = ("genus", "face_dim", "generators", "active_curves", "active_rank",
+               "lemma_mat", "det", "checks")
+
+    def __init__(self, genus: int | None, face_dim: int, generators: tuple[_Row, ...] | None,
+                 active_curves: tuple[str, ...], active_rank: int, lemma_mat: QMatrix | None,
+                 det: Fraction | None, checks: tuple[Check, ...] = ()):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "face_dim", face_dim)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "active_curves", active_curves)
+        object.__setattr__(self, "active_rank", active_rank)
+        object.__setattr__(self, "lemma_mat", lemma_mat)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "checks", checks)
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,14 +18,13 @@ CLI's symbolic table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, groupby
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import NamedTuple
 
+from ._record import Record
 from .divisors import DivisorClass, GenusContext, as_context
 from .errors import GenusMismatchError, IndexOutOfRangeError
 from .linalg import Vec, clear_denominators
@@ -115,13 +114,16 @@ def _tag(family: str, indices: tuple[int, ...]) -> str:
     return _tag_format(family) % tuple(indices)
 
 
-@dataclass(frozen=True)
-class FCurve:
+class FCurve(Record):
     """One F-curve, stored with its raw (unreflected) indices."""
 
-    ctx: GenusContext
-    family: str
-    indices: tuple[int, ...] = ()
+    _fields = ("ctx", "family", "indices")
+
+    def __init__(self, ctx: GenusContext, family: str, indices: tuple[int, ...] = ()):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "indices", indices)
+        self.__post_init__()
 
     def __post_init__(self):
         g = self.ctx.g
@@ -243,15 +245,24 @@ def _bits(dim: int) -> tuple[int, ...]:
     return tuple(1 << k for k in range(dim))
 
 
-class _Table(NamedTuple):
-    """The class table of one genus as columns, in table order."""
+class _Table(Record):
+    """The class table of one genus as columns, in table order: the
+    primitive integer ``rows``; each row's support ``bits``, bit k set
+    where row[k] != 0; each class's representative ``keys``, (family,
+    indices); its member ``tags``, representative first; and
+    ``positions`` 0, 1, ..., which the scan compresses instead of making
+    an int per class."""
 
-    rows: tuple[tuple[int, ...], ...]  # primitive integer rows
-    bits: tuple[int, ...]  # each row's support: bit k set where row[k] != 0
-    keys: tuple[tuple[str, tuple[int, ...]], ...]  # representative (family, indices)
-    tags: tuple[tuple[str, ...], ...]  # member tags, representative first
-    # 0, 1, ...: the scan compresses these instead of making an int per class
-    positions: tuple[int, ...]
+    _fields = ("rows", "bits", "keys", "tags", "positions")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], bits: tuple[int, ...],
+                 keys: tuple[tuple[str, tuple[int, ...]], ...], tags: tuple[tuple[str, ...], ...],
+                 positions: tuple[int, ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "positions", positions)
 
 
 @lru_cache(maxsize=None)
@@ -276,14 +287,16 @@ def _table(ctx: GenusContext) -> _Table:
                   tuple(keys), tuple(map(tuple, groups.values())), tuple(range(len(keys))))
 
 
-@dataclass(frozen=True)
-class FCurveClass:
+class FCurveClass(Record):
     """A numerical class of F-curves: representative, all tags, and the
     primitive integer form of its inequality row ``ineq_row(curve)``."""
 
-    curve: FCurve
-    row: tuple[int, ...]
-    tags: tuple[str, ...]
+    _fields = ("curve", "row", "tags")
+
+    def __init__(self, curve: FCurve, row: tuple[int, ...], tags: tuple[str, ...]):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "tags", tags)
 
     @property
     def vector(self) -> Vec:

@@ -10,11 +10,11 @@ determinant is the only other elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import NonSquareError
 
 Vec = tuple[Fraction, ...]
@@ -111,13 +111,15 @@ def primitive_oriented(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     return p
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(Record):
     """Immutable rational matrix, row major."""
 
-    nrows: int
-    ncols: int
-    entries: tuple[Fraction, ...]
+    _fields = ("nrows", "ncols", "entries")
+
+    def __init__(self, nrows: int, ncols: int, entries: tuple[Fraction, ...]):
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":

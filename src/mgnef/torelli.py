@@ -15,11 +15,11 @@ sign convention.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
+from ._record import Record
 from .cones import PolyCone, extreme_rays
 from .divisors import (
     DivisorClass,
@@ -37,16 +37,21 @@ from .errors import ModelMismatchError
 from .fcurves import FCurve, intersect
 
 
-@dataclass(frozen=True)
-class CompactificationModel:
+class CompactificationModel(Record):
     """One compactification: Picard basis, nef cone rows, pullback flag."""
 
-    name: str
-    picard_rank: int
-    basis_labels: tuple[str, ...]
-    nef_rows: tuple[tuple[int, ...], ...]
-    nef_row_labels: tuple[str, ...]
-    has_pullback: bool
+    _fields = ("name", "picard_rank", "basis_labels", "nef_rows", "nef_row_labels",
+               "has_pullback")
+
+    def __init__(self, name: str, picard_rank: int, basis_labels: tuple[str, ...],
+                 nef_rows: tuple[tuple[int, ...], ...], nef_row_labels: tuple[str, ...],
+                 has_pullback: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "picard_rank", picard_rank)
+        object.__setattr__(self, "basis_labels", basis_labels)
+        object.__setattr__(self, "nef_rows", nef_rows)
+        object.__setattr__(self, "nef_row_labels", nef_row_labels)
+        object.__setattr__(self, "has_pullback", has_pullback)
 
     def nef_cone(self) -> PolyCone:
         """Nef cone in the model's own (a, b) coordinates."""
@@ -94,20 +99,18 @@ def get_model(name: str) -> CompactificationModel:
         ) from None
 
 
-@dataclass(frozen=True)
-class AbelianDivisor:
+class AbelianDivisor(Record):
     """a*M - b*D on one of the cataloged models (b fixed to 0 at rank 1)."""
 
-    model: str
-    a: Fraction
-    b: Fraction = Fraction(0)
+    _fields = ("model", "a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        m = get_model(self.model)
-        if m.picard_rank == 1 and self.b != 0:
-            raise ModelMismatchError(f"model {self.model!r} has no D class")
+    def __init__(self, model: str, a: Fraction, b: Fraction = Fraction(0)):
+        a, b = Fraction(a), Fraction(b)
+        if get_model(model).picard_rank == 1 and b != 0:
+            raise ModelMismatchError(f"model {model!r} has no D class")
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def coeffs(self) -> tuple[Fraction, ...]:
         m = get_model(self.model)
@@ -200,12 +203,15 @@ class FaceLocation(enum.Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class FaceClassification:
-    location: FaceLocation
-    alpha: Fraction | None = None
-    beta: Fraction | None = None
-    epsilon: Fraction | None = None
+class FaceClassification(Record):
+    _fields = ("location", "alpha", "beta", "epsilon")
+
+    def __init__(self, location: FaceLocation, alpha: Fraction | None = None,
+                 beta: Fraction | None = None, epsilon: Fraction | None = None):
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 def classify_in_face(d: DivisorClass) -> FaceClassification:
@@ -236,11 +242,13 @@ def classify_in_face(d: DivisorClass) -> FaceClassification:
 # -- semi-ampleness catalog ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemiampleStatus:
-    classification: FaceClassification
-    status: str
-    reason: str
+class SemiampleStatus(Record):
+    _fields = ("classification", "status", "reason")
+
+    def __init__(self, classification: FaceClassification, status: str, reason: str):
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reason", reason)
 
 
 def semiample_status(d: DivisorClass) -> SemiampleStatus:
@@ -283,24 +291,29 @@ def semiample_status(d: DivisorClass) -> SemiampleStatus:
 # -- scan of mD - (K + Delta) over a parameter grid ----------------------------
 
 
-@dataclass(frozen=True)
-class BpfEntry:
-    m: int
-    alpha: Fraction
-    beta: Fraction
-    divisor: DivisorClass
-    c3_values: tuple[Fraction, ...]
+class BpfEntry(Record):
+    _fields = ("m", "alpha", "beta", "divisor", "c3_values")
+
+    def __init__(self, m: int, alpha: Fraction, beta: Fraction, divisor: DivisorClass,
+                 c3_values: tuple[Fraction, ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "c3_values", c3_values)
 
     @property
     def ok(self) -> bool:
         return all(v == -1 for v in self.c3_values)
 
 
-@dataclass(frozen=True)
-class BpfReport:
-    genus: int
-    entries: tuple[BpfEntry, ...]
-    symbolic_ok: bool
+class BpfReport(Record):
+    _fields = ("genus", "entries", "symbolic_ok")
+
+    def __init__(self, genus: int, entries: tuple[BpfEntry, ...], symbolic_ok: bool):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "symbolic_ok", symbolic_ok)
 
     @cached_property
     def deviations(self) -> list[BpfEntry]:

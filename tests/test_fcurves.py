@@ -474,12 +474,14 @@ def test_class_table_matches_fraction_reference():
             assert all(type(x) is int for x in rec.row)
 
 
-def test_class_table_matches_dense_reference():
+def test_class_table_matches_dense_reference(monkeypatch):
     """Grouping on family-reduced rows gives the classes, order, rows and
     tags of grouping on 12 * (D . C) and dividing every row by its gcd."""
+    # uncached builds of both the table and its objects, so the test keeps
+    # no table of its own alive
+    monkeypatch.setattr(fcurves, "_table", _table.__wrapped__)
     for g in [*range(3, 81), 120]:
         ctx = as_context(g)
-        # the uncached build, so the test keeps no table of its own alive
         assert _classes_cached.__wrapped__(ctx) == dense_classes(ctx), g
 
 
