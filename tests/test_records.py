@@ -2,8 +2,8 @@
 
 Every public record class is checked on one instance.  The ``repr`` strings
 and error messages are pinned, and no check depends on how the classes are
-implemented, so the suite also guards start-up: a cold ``mgnef`` command
-must import neither ``dataclasses`` nor ``inspect``.
+implemented.  The last test guards start-up: a cold ``mgnef`` command must
+import neither ``dataclasses`` nor ``inspect``.
 """
 
 import copy
