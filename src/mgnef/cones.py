@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -90,7 +91,9 @@ class PolyCone(Record):
     def contains(self, point) -> bool:
         x = _as_point(self, point)
         if self.ineq_rows:
-            return all(dot(r, x) >= 0 for r in self.ineq_rows)
+            # a positive multiple of the point has the same signs
+            x = clear_denominators(x)
+            return all(sum(map(mul, r, x)) >= 0 for r in self.ineq_rows)
         if self.generators is not None:
             return nonneg_combination(list(self.generators), x) is not None
         raise ValueError("cone has neither inequalities nor generators")
@@ -126,35 +129,52 @@ def nonneg_combination(
     """Solve ``sum_j x_j * columns[j] = target`` with ``x >= 0`` exactly.
 
     Phase-1 simplex with Bland's rule and one artificial column per row
-    that is not zero throughout (the others are left out); returns one
-    solution or None when the system is infeasible.  Each
-    tableau row is a positive multiple of its rational row in ints, so a
-    pivot is the echelon's elimination step and values are read over the
-    row's basic entry.  Raises ValueError on a column of the wrong length.
+    that is nonzero in some column; returns one solution or None when the
+    system is infeasible, at once when a row that is zero in every column
+    has a nonzero target.  Each tableau row is a positive multiple of its
+    rational row in ints, so a pivot is the echelon's elimination step,
+    columns are priced in ints and values are read over the row's basic
+    entry.  Raises ValueError on a column of the wrong length.
     """
     m, n = len(target), len(columns)
     for col in columns:
         if len(col) != m:
             raise ValueError(f"length mismatch: {len(col)} vs {m}")
-    # a row that is zero in every column and in the target never pivots,
-    # and its artificial column has reduced cost exactly 1, so it never
-    # enters: leaving such rows out keeps every pivot and the solution
-    rows = [i for i in range(m) if target[i] or any(col[i] for col in columns)]
+    # a row that is zero in every column never pivots, and its artificial
+    # column has reduced cost exactly 1, so it never enters: with a zero
+    # target, leaving the row out keeps every pivot and the solution; with
+    # any other target, no x solves the row.  The target is read through
+    # Fraction, as the tableau reads it, so "0" counts as zero
+    rows = []
+    for i in range(m):
+        if any(col[i] for col in columns):
+            rows.append(i)
+        elif target[i] and Fraction(target[i]):
+            return None
     m = len(rows)
     tableau: list[list[int]] = []
     for k, i in enumerate(rows):
         row, rhs = [Fraction(col[i]) for col in columns], Fraction(target[i])
-        if rhs < 0:
-            row, rhs = [-x for x in row], -rhs
-        # the artificial entry, the row's basic entry, is scaled with the row
-        tableau.append(list(clear_denominators(row + [int(j == k) for j in range(m)] + [rhs])))
+        # the row flipped for a negative target and cleared of denominators
+        # together with its artificial entry, the row's basic entry
+        scale = lcm(rhs.denominator, *(x.denominator for x in row))
+        sign = -1 if rhs < 0 else 1
+        tableau.append([sign * x.numerator * (scale // x.denominator) for x in row]
+                       + [scale if j == k else 0 for j in range(m)]
+                       + [sign * rhs.numerator * (scale // rhs.denominator)])
     basis = list(range(n, n + m))
     while True:
+        # every tableau row is a positive multiple of its rational row, so a
+        # basic entry p is positive, and a reduced cost 1[j >= n] - sum of
+        # row[j] / p over the artificial rows is negative exactly when the
+        # sum of row[j] * (L / p) exceeds L * 1[j >= n], L the lcm of the p
         artificial = [(row, row[b]) for row, b in zip(tableau, basis) if b >= n]
+        scale = lcm(*(p for _, p in artificial))
+        artificial = [(row, scale // p) for row, p in artificial]
         # Bland's rule: the first column with a negative reduced cost enters
         entering = next(
             (j for j in range(n + m)
-             if sum(Fraction(row[j], p) for row, p in artificial if row[j]) > (j >= n)),
+             if sum(row[j] * f for row, f in artificial if row[j]) > (scale if j >= n else 0)),
             None,
         )
         if entering is None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, groupby
+from itertools import compress, groupby, islice
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -339,8 +339,20 @@ def _support_pairings(d: DivisorClass):
     pick, xs = _on_support(x)
     t = _table(d.ctx)
     rows = t.rows
-    for k in compress(t.positions, map(mask.__and__, t.bits)):
+    # no class after the last one that meets a support coordinate meets d
+    stop = max(_extent(d.ctx, k) for k in compress(range(len(x)), x))
+    for k in compress(islice(t.positions, stop), map(mask.__and__, t.bits)):
         yield k, sum(map(mul, pick(rows[k]), xs))
+
+
+@lru_cache(maxsize=None)
+def _extent(ctx: GenusContext, k: int) -> int:
+    """1 + the last table position whose row is nonzero at coordinate k,
+    found scanning the table from its end; built per coordinate on first
+    use, since a support touches few of them."""
+    t = _table(ctx)
+    last = next(compress(reversed(t.positions), map((1 << k).__and__, reversed(t.bits))), -1)
+    return last + 1
 
 
 def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:

@@ -54,7 +54,11 @@ class CompactificationModel(Record):
         object.__setattr__(self, "has_pullback", has_pullback)
 
     def nef_cone(self) -> PolyCone:
-        """Nef cone in the model's own (a, b) coordinates."""
+        """Nef cone in the model's own (a, b) coordinates, built once per model."""
+        return self._nef_cone
+
+    @cached_property
+    def _nef_cone(self) -> PolyCone:
         return PolyCone.from_inequalities(self.nef_rows, self.nef_row_labels)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -27,7 +28,7 @@ from mgnef import (
     twelve_lambda_minus_delta0,
 )
 from mgnef.cones import Check
-from mgnef.fcurves import _on_support, _raw_indices, _row12, _tag
+from mgnef.fcurves import _on_support, _raw_indices, _row12, _table, _tag
 from mgnef.linalg import clear_denominators, integer_rank
 
 
@@ -160,6 +161,22 @@ def full_scan_is_fnef(d):
         if sum(map(mul, pick(rec.row), xs)) < 0:
             return False, rec.curve
     return True, None
+
+
+# The reference for mgnef.fcurves._support_pairings: the support bits of
+# every class in the table tested, to its end.  Stopping after the last
+# class that meets the support must yield the same pairs.
+def full_support_pairings(d) -> list[tuple[int, int]]:
+    """(class index, row paired with d on its support) for every class
+    whose row is nonzero on d's support."""
+    x = clear_denominators(d.coeffs())
+    mask = sum(1 << k for k, v in enumerate(x) if v)
+    if not mask:
+        return []
+    pick, xs = _on_support(x)
+    t = _table(d.ctx)
+    return [(k, sum(map(mul, pick(t.rows[k]), xs)))
+            for k in compress(t.positions, map(mask.__and__, t.bits))]
 
 
 # The references for DivisorClass arithmetic: every coefficient computed,

@@ -294,6 +294,44 @@ def test_nonneg_combination_leaves_out_zero_rows():
     assert 250 < solved < 750
 
 
+def test_nonneg_combination_refuses_a_zero_row_with_a_nonzero_target_unpivoted(monkeypatch):
+    """The third row is 0 in the column and 1 in the target, so no x solves
+    it: the refusal comes before any pivot, while the first two rows alone
+    pivot through ``_reduce``."""
+    calls = []
+    reduce = cones._reduce
+    monkeypatch.setattr(cones, "_reduce", lambda *args: calls.append(args) or reduce(*args))
+    assert nonneg_combination([(1, 1)], (1, 1)) == [1] and calls
+    calls.clear()
+    cols, target = [(1, 1, 0)], (1, 1, 1)
+    assert nonneg_combination(cols, target) is None
+    assert calls == []
+    assert fraction_nonneg_combination(cols, target) is None
+
+
+def test_nonneg_combination_reads_strings_and_floats_as_the_tableau_does():
+    """Entries are read through Fraction: a target "0" is zero (a truthy
+    string, not a refusal), and floats and strings give the answers of
+    their exact values."""
+    assert nonneg_combination([(0,)], ("0",)) == [Fraction(0)]
+    assert nonneg_combination([(0, 0)], ("0", "0/3")) == [Fraction(0)]
+    assert nonneg_combination([("0",)], ("1",)) is None
+    assert nonneg_combination([(0,)], (0.5,)) is None
+    assert nonneg_combination([(0.5, 0)], (0.25, "0")) == [Fraction(1, 2)]
+    cases = [([("1/2", 1.0), (1, "-1/4")], ("3/2", 0.5)),
+             ([(0.25, 0, "1")], ("1/8", 0.0, 0.5)),
+             ([(1, 0), ("0", 1)], (-1.5, "2"))]
+    for cols, target in cases:
+        assert nonneg_combination(cols, target) == fraction_nonneg_combination(cols, target)
+    assert [nonneg_combination(cols, target) for cols, target in cases] == [
+        [Fraction(7, 9), Fraction(10, 9)], [Fraction(1, 2)], None]
+    assert PolyCone.from_generators([(1, 0)]).contains(["1/2", "0"])
+    assert not PolyCone.from_generators([(1, 0)]).contains(["1/2", 0.5])
+    h = PolyCone.from_inequalities([(1, -12), (0, 1)])
+    assert h.contains(["25/2", 1.0]) and h.contains([0.5, "0"])
+    assert not h.contains([11.5, "1"]) and not h.contains(["1/3", -0.25])
+
+
 _entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 

@@ -1,12 +1,15 @@
-"""Replay of the committed CLI output corpus, ``data/certify-corpus.json``.
+"""Replay of the committed CLI output corpora in ``data/``.
 
 Each entry maps one ``mgnef`` invocation to the exit code and the SHA-256
-digests of its stdout and stderr, recorded from the console command.  The
-test replays every entry in process, so any change to a byte of output or
-to an exit code shows as a failed entry; an intended change is re-recorded
-and shows as a diff of the corpus file.
+digests of its stdout and stderr, recorded from the console command.
+``certify-corpus.json`` holds ``certify``; ``query-corpus.json`` holds
+``check`` and ``pullback`` on the paper's face, off it, on its rays and
+on malformed or refused input.  The tests replay every entry in process,
+so any change to a byte of output or to an exit code shows as a failed
+entry; an intended change is re-recorded and shows as a diff of a corpus
+file.
 
-Re-record from a checkout's own sources with
+Re-record both from a checkout's own sources with
 
     PYTHONPATH=src python3 tests/test_corpus.py
 """
@@ -21,16 +24,39 @@ import subprocess
 import sys
 from pathlib import Path
 
-CORPUS = Path(__file__).resolve().parent / "data" / "certify-corpus.json"
+DATA = Path(__file__).resolve().parent / "data"
 
 # certify at every genus the goldens and ladders use, and the refusals on
 # both sides of the supported range: below 3, and above the class table limit
 GENERA = [*range(3, 41), 60, 80, 120, 2, 121]
 
+# the queries at small genera, at the query-mix genera and up to the limit
+QUERY_GENERA = [3, 4, 7, 12, 24, 40, 80, 120]
+# the zero class, both rays of the face and a point inside it, a class off
+# the face, K, an F-nef class with dense support, and a malformed expression
+CHECK_DIVISORS = ["0", "L", "-L", "12L-d0", "5/2*L + 1/3*12L-d0", "L - d7", "K", "11*L + K", "L +"]
+# the face's rays and a point inside it, the negative of one ray, zero, and
+# a class the Satake model has no D for
+PULLBACK_DIVISORS = ["13*M - D", "-M", "M", "0", "1/2*D"]
+PULLBACK_MODELS = ["satake", "partial", "perfect"]
 
-def invocations() -> list[list[str]]:
+
+def certify_invocations() -> list[list[str]]:
     return [["certify", "--genus", str(g), "--format", fmt]
             for g in GENERA for fmt in ("text", "json")]
+
+
+def query_invocations() -> list[list[str]]:
+    checks = [["check", "--genus", str(g), "--divisor", text, "--format", fmt]
+              for g in QUERY_GENERA for text in CHECK_DIVISORS for fmt in ("text", "json")]
+    pullbacks = [["pullback", "--genus", str(g), "--model", model, "--divisor", text,
+                  "--format", fmt]
+                 for g in QUERY_GENERA for model in PULLBACK_MODELS
+                 for text in PULLBACK_DIVISORS for fmt in ("text", "json")]
+    return checks + pullbacks
+
+
+CORPORA = {"certify-corpus.json": certify_invocations, "query-corpus.json": query_invocations}
 
 
 def _sha(text: str) -> str:
@@ -50,18 +76,27 @@ def run_in_process(argv: list[str]) -> dict:
     return _entry(code, out.getvalue(), err.getvalue())
 
 
-def test_certify_corpus_replays_in_process():
-    corpus = json.loads(CORPUS.read_text())
-    assert sorted(corpus) == sorted(" ".join(argv) for argv in invocations())
-    for argv in invocations():
+def _replay(name: str) -> None:
+    corpus = json.loads((DATA / name).read_text())
+    invocations = CORPORA[name]()
+    assert sorted(corpus) == sorted(" ".join(argv) for argv in invocations)
+    for argv in invocations:
         key = " ".join(argv)
         assert run_in_process(argv) == corpus[key], key
 
 
-def record() -> dict:
+def test_certify_corpus_replays_in_process():
+    _replay("certify-corpus.json")
+
+
+def test_query_corpus_replays_in_process():
+    _replay("query-corpus.json")
+
+
+def record(invocations: list[list[str]]) -> dict:
     """Run every invocation as ``python -m mgnef`` and collect the entries."""
     corpus = {}
-    for argv in invocations():
+    for argv in invocations:
         proc = subprocess.run([sys.executable, "-m", "mgnef", *argv],
                               capture_output=True, text=True, encoding="utf-8")
         corpus[" ".join(argv)] = _entry(proc.returncode, proc.stdout, proc.stderr)
@@ -69,5 +104,6 @@ def record() -> dict:
 
 
 if __name__ == "__main__":
-    CORPUS.write_text(json.dumps(record(), indent=1) + "\n")
-    print(f"recorded {len(invocations())} invocations to {CORPUS}")
+    for name, invocations in CORPORA.items():
+        (DATA / name).write_text(json.dumps(record(invocations()), indent=1) + "\n")
+        print(f"recorded {len(invocations())} invocations to {DATA / name}")

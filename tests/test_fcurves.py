@@ -16,6 +16,8 @@ from mgnef import (
     IndexOutOfRangeError,
     UnsupportedGenusError,
     as_context,
+    boundary_total,
+    canonical_class,
     enumerate_fcurves,
     enumerate_fcurves_raw,
     from_coeffs,
@@ -25,6 +27,7 @@ from mgnef import (
     is_fnef,
     lambda_class,
     numerical_classes,
+    parse_divisor,
     primitive,
     twelve_lambda_minus_delta0,
     verify_extremal_face,
@@ -34,6 +37,7 @@ from helpers import (
     dense_classes,
     full_row_is_fnef,
     full_scan_is_fnef,
+    full_support_pairings,
     rand_divisor,
     rand_fraction,
 )
@@ -322,6 +326,34 @@ def test_is_fnef_finds_a_late_only_negative_class():
             assert is_fnef(d) == full_scan_is_fnef(d) == (False, classes[first].curve), (g, rec.tags)
             seen += 1
     assert seen >= 20
+
+
+def _bounded_scan_divisors(g):
+    """Divisors on the supports {a}, {b_0}, {a, b_0} and {a, b_0, b_k} for
+    every k >= 1, and K and Delta, whose supports are every b and every
+    coordinate."""
+    ctx = as_context(g)
+    yield parse_divisor("L", ctx)
+    yield parse_divisor("-d0", ctx)
+    yield parse_divisor("12L-d0", ctx)
+    for k in range(1, g // 2 + 1):
+        yield parse_divisor(f"13*L - d0 + 1/2*d{k}", ctx)
+    yield canonical_class(ctx)
+    yield boundary_total(ctx)
+
+
+def test_support_scan_stops_after_the_last_class_meeting_the_support():
+    """The scan, which ends after the last class whose row is nonzero on
+    the support, yields what the scan of the whole table yields."""
+    for g in [*range(3, 41), 80, 120]:
+        n = len(_table(as_context(g)).rows)
+        for d in _bounded_scan_divisors(g):
+            got = list(fcurves._support_pairings(d))
+            assert got == full_support_pairings(d), (g, d.coeffs())
+        # at genus 40 a face divisor reads 42 of the 881 class bits
+        if g == 40:
+            assert (n, fcurves._extent(as_context(g), 0), fcurves._extent(as_context(g), 1)) == (
+                881, 1, 42)
 
 
 @st.composite

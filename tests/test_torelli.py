@@ -62,6 +62,13 @@ def test_model_nef_rays_frozen():
         assert extreme_rays(model.nef_cone()) == [(1, 0), (12, 1)]
 
 
+def test_model_nef_cone_built_once_per_model():
+    for model in MODELS.values():
+        cone = model.nef_cone()
+        assert cone == PolyCone.from_inequalities(model.nef_rows, model.nef_row_labels)
+        assert model.nef_cone() is cone
+
+
 def test_model_nef_membership():
     nef = PERFECT.nef_cone()
     assert nef.contains((Fraction(13), Fraction(1)))
