@@ -4,12 +4,13 @@ Each entry maps one ``mgnef`` invocation to the exit code and the SHA-256
 digests of its stdout and stderr, recorded from the console command.
 ``certify-corpus.json`` holds ``certify``; ``query-corpus.json`` holds
 ``check`` and ``pullback`` on the paper's face, off it, on its rays and
-on malformed or refused input.  The tests replay every entry in process,
+on malformed or refused input; ``listing-corpus.json`` holds ``fcurves``,
+``table`` and ``bpf``, with their refusals.  The tests replay every entry in process,
 so any change to a byte of output or to an exit code shows as a failed
 entry; an intended change is re-recorded and shows as a diff of a corpus
 file.
 
-Re-record both from a checkout's own sources with
+Re-record all three from a checkout's own sources with
 
     PYTHONPATH=src python3 tests/test_corpus.py
 """
@@ -40,6 +41,19 @@ CHECK_DIVISORS = ["0", "L", "-L", "12L-d0", "5/2*L + 1/3*12L-d0", "L - d7", "K",
 PULLBACK_DIVISORS = ["13*M - D", "-M", "M", "0", "1/2*D"]
 PULLBACK_MODELS = ["satake", "partial", "perfect"]
 
+# the class listing at small genera and at two query-mix genera, and the
+# refusals on both sides of the class table's range
+FCURVES_GENERA = [*range(3, 13), 24, 40, 2, 121]
+# the symbolic table, which builds no class table, and its genus refusal
+TABLE_GENERA = [3, 4, 12, 120, 2]
+# the default 5 x 5 x 5 grid and a one-point grid up to the class table's
+# limit, and one grid over each cap, both refused before the scan: grid
+# points times C3 curves, and that times the row width
+BPF_GENERA = [3, 4, 12, 40, 120]
+ONE_POINT = ["--m-max", "1", "--alpha-max", "0", "--beta-max", "0"]
+BPF_OVER_CAPS = [["--genus", "3", "--m-max", "100001", "--alpha-max", "0", "--beta-max", "0"],
+                 ["--genus", "10030", *ONE_POINT]]
+
 
 def certify_invocations() -> list[list[str]]:
     return [["certify", "--genus", str(g), "--format", fmt]
@@ -56,7 +70,19 @@ def query_invocations() -> list[list[str]]:
     return checks + pullbacks
 
 
-CORPORA = {"certify-corpus.json": certify_invocations, "query-corpus.json": query_invocations}
+def listing_invocations() -> list[list[str]]:
+    fcurves = [["fcurves", "--genus", str(g), "--format", fmt]
+               for g in FCURVES_GENERA for fmt in ("text", "json")]
+    tables = [["table", "--genus", str(g), "--format", fmt]
+              for g in TABLE_GENERA for fmt in ("text", "json", "latex")]
+    grids = [["--genus", str(g), *grid] for g in BPF_GENERA for grid in ([], ONE_POINT)]
+    bpfs = [["bpf", *args, "--format", fmt]
+            for args in grids + BPF_OVER_CAPS for fmt in ("text", "json")]
+    return fcurves + tables + bpfs
+
+
+CORPORA = {"certify-corpus.json": certify_invocations, "query-corpus.json": query_invocations,
+           "listing-corpus.json": listing_invocations}
 
 
 def _sha(text: str) -> str:
@@ -91,6 +117,10 @@ def test_certify_corpus_replays_in_process():
 
 def test_query_corpus_replays_in_process():
     _replay("query-corpus.json")
+
+
+def test_listing_corpus_replays_in_process():
+    _replay("listing-corpus.json")
 
 
 def record(invocations: list[list[str]]) -> dict:
