@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, groupby, islice
+from itertools import compress, groupby, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -154,17 +154,21 @@ class FCurve(Record):
         return self.tag
 
 
-def _on_support(x: tuple[int, ...]):
-    """An itemgetter ``pick`` over the coordinates where x is nonzero, and x
-    picked by it, so that ``sum(map(mul, pick(row), picked_x))`` is row . x.
+def _on_support(c):
+    """The coordinates where c is nonzero, an itemgetter ``pick`` over them,
+    and c picked by it with its denominators cleared, so that
+    ``sum(map(mul, pick(row), xs))`` is row . c times the lcm of c's
+    denominators; only the support's denominators are read, since a zero
+    has denominator 1.
 
     The first index is picked again at the end, which keeps a one-coordinate
-    pick a tuple; it is sliced off the picked x, and map stops at the shorter
-    of the two.  When x is zero, coordinate 0 stands in for the empty support.
+    pick a tuple; it is sliced off the picked c, and map stops at the shorter
+    of the two.  When c is zero, coordinate 0 stands in for the empty support.
     """
-    support = [k for k, v in enumerate(x) if v] or [0]
-    pick = itemgetter(*support, support[0])
-    return pick, pick(x)[:-1]
+    support = list(compress(range(len(c)), c))
+    picked = support or [0]
+    pick = itemgetter(*picked, picked[0])
+    return support, pick, clear_denominators(pick(c)[:-1])
 
 
 def ineq_row(c: FCurve) -> Vec:
@@ -203,7 +207,7 @@ def _witness_values(d: DivisorClass, ctx: GenusContext) -> list[Fraction]:
     over 12 times the clearing scale.  Every zero value is one object."""
     _same_genus(d, ctx)
     c = d.coeffs()
-    pick, xs = _on_support(clear_denominators(c))
+    _, pick, xs = _on_support(c)
     scale = 12 * lcm(*(v.denominator for v in c))
     vals = [sum(map(mul, pick(row), xs)) for row in _witness_rows(ctx)]
     return [Fraction(v, scale) if v else _ZERO for v in vals]
@@ -239,30 +243,18 @@ def enumerate_fcurves_raw(g) -> list[FCurve]:
     return [FCurve(ctx, fam, idx) for fam, idx in _raw_indices(ctx.g)]
 
 
-@lru_cache(maxsize=None)
-def _bits(dim: int) -> tuple[int, ...]:
-    """1 << k for each coordinate k."""
-    return tuple(1 << k for k in range(dim))
-
-
 class _Table(Record):
     """The class table of one genus as columns, in table order: the
-    primitive integer ``rows``; each row's support ``bits``, bit k set
-    where row[k] != 0; each class's representative ``keys``, (family,
-    indices); its member ``tags``, representative first; and
-    ``positions`` 0, 1, ..., which the scan compresses instead of making
-    an int per class."""
+    primitive integer ``rows``; each class's representative ``keys``,
+    (family, indices); and its member ``tags``, representative first."""
 
-    _fields = ("rows", "bits", "keys", "tags", "positions")
+    _fields = ("rows", "keys", "tags")
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...], bits: tuple[int, ...],
-                 keys: tuple[tuple[str, tuple[int, ...]], ...], tags: tuple[tuple[str, ...], ...],
-                 positions: tuple[int, ...]):
+    def __init__(self, rows: tuple[tuple[int, ...], ...],
+                 keys: tuple[tuple[str, tuple[int, ...]], ...], tags: tuple[tuple[str, ...], ...]):
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "positions", positions)
 
 
 @lru_cache(maxsize=None)
@@ -282,9 +274,7 @@ def _table(ctx: GenusContext) -> _Table:
             if not tags:
                 keys.append(key)
             tags.append(tag % key[1])
-    bits = _bits(ctx.dim)
-    return _Table(tuple(groups), tuple(sum(compress(bits, row)) for row in groups),
-                  tuple(keys), tuple(map(tuple, groups.values())), tuple(range(len(keys))))
+    return _Table(tuple(groups), tuple(keys), tuple(map(tuple, groups.values())))
 
 
 class FCurveClass(Record):
@@ -332,27 +322,25 @@ def _support_pairings(d: DivisorClass):
     nonzero on d's support, nothing for the zero class.  The value, the row
     paired with d's coefficients cleared of denominators on that support, is
     a positive multiple of d . C; a class not yielded meets d in exactly 0."""
-    x = clear_denominators(d.coeffs())
-    mask = sum(compress(_bits(len(x)), x))
-    if not mask:
+    support, pick, xs = _on_support(d.coeffs())
+    if not support:
         return
-    pick, xs = _on_support(x)
-    t = _table(d.ctx)
-    rows = t.rows
+    rows = _table(d.ctx).rows
     # no class after the last one that meets a support coordinate meets d
-    stop = max(_extent(d.ctx, k) for k in compress(range(len(x)), x))
-    for k in compress(islice(t.positions, stop), map(mask.__and__, t.bits)):
+    stop = max(map(_extent, repeat(d.ctx), support))
+    for k in compress(range(stop), map(any, map(pick, rows))):
         yield k, sum(map(mul, pick(rows[k]), xs))
 
 
 @lru_cache(maxsize=None)
 def _extent(ctx: GenusContext, k: int) -> int:
     """1 + the last table position whose row is nonzero at coordinate k,
-    found scanning the table from its end; built per coordinate on first
-    use, since a support touches few of them."""
-    t = _table(ctx)
-    last = next(compress(reversed(t.positions), map((1 << k).__and__, reversed(t.bits))), -1)
-    return last + 1
+    found scanning the rows from the table's end; built per coordinate on
+    first use, since a support touches few of them."""
+    rows = _table(ctx).rows
+    # the number of rows after the last one that meets k, all of them if none does
+    after = next(compress(range(len(rows)), map(itemgetter(k), reversed(rows))), len(rows))
+    return len(rows) - after
 
 
 def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:

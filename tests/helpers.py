@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -147,7 +146,7 @@ def full_row_is_fnef(d):
     return True, None
 
 
-# The reference for the support bits of mgnef.fcurves.is_fnef: every class
+# The reference for the support scan of mgnef.fcurves.is_fnef: every class
 # in table order, each paired on the divisor's support.  Skipping the
 # classes whose rows are zero on that support must give the same verdict
 # and the same witness.
@@ -156,27 +155,24 @@ def full_scan_is_fnef(d):
     x = clear_denominators(d.coeffs())
     if not any(x):
         return True, None
-    pick, xs = _on_support(x)
+    _, pick, xs = _on_support(x)
     for rec in numerical_classes(d.ctx):
         if sum(map(mul, pick(rec.row), xs)) < 0:
             return False, rec.curve
     return True, None
 
 
-# The reference for mgnef.fcurves._support_pairings: the support bits of
-# every class in the table tested, to its end.  Stopping after the last
-# class that meets the support must yield the same pairs.
+# The reference for mgnef.fcurves._support_pairings: every row of the
+# class table tested on the support, to the table's end.  Stopping after the
+# last class that meets the support must yield the same pairs.
 def full_support_pairings(d) -> list[tuple[int, int]]:
     """(class index, row paired with d on its support) for every class
     whose row is nonzero on d's support."""
-    x = clear_denominators(d.coeffs())
-    mask = sum(1 << k for k, v in enumerate(x) if v)
-    if not mask:
+    support, pick, xs = _on_support(clear_denominators(d.coeffs()))
+    if not support:
         return []
-    pick, xs = _on_support(x)
-    t = _table(d.ctx)
-    return [(k, sum(map(mul, pick(t.rows[k]), xs)))
-            for k in compress(t.positions, map(mask.__and__, t.bits))]
+    return [(k, sum(map(mul, pick(row), xs)))
+            for k, row in enumerate(_table(d.ctx).rows) if any(row[i] for i in support)]
 
 
 # The references for DivisorClass arithmetic: every coefficient computed,

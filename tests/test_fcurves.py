@@ -348,7 +348,7 @@ def test_support_scan_stops_after_the_last_class_meeting_the_support():
     for g in [*range(3, 41), 80, 120]:
         for d in _bounded_scan_divisors(g):
             assert list(fcurves._support_pairings(d)) == full_support_pairings(d), (g, d.coeffs())
-    # a face divisor reads 42 of the 881 class bits at genus 40
+    # a face divisor tests 42 of the 881 class rows at genus 40
     ctx = as_context(40)
     assert (len(_table(ctx).rows), fcurves._extent(ctx, 0), fcurves._extent(ctx, 1)) == (881, 1, 42)
 
@@ -398,20 +398,24 @@ def test_support_scan_and_witness_values_match_intersect(d):
     assert len({id(v) for v in values if not v}) <= 1
 
 
-def test_support_bits_are_the_nonzero_coordinates():
-    """Bit k of a class's support is set exactly where its row is nonzero."""
-    for g in [*range(3, 81), 120]:
-        # the uncached build, so the test keeps no table of its own alive
-        table = _table.__wrapped__(as_context(g))
-        assert len({len(table.rows), len(table.bits), len(table.keys), len(table.tags)}) == 1, g
-        assert table.positions == tuple(range(len(table.rows))), g
-        for row, got, tags in zip(table.rows, table.bits, table.tags):
-            assert got == sum(1 << k for k, v in enumerate(row) if v), (g, tags)
-    for g in (3, 12, 40):  # the cached bits that is_fnef reads agree
-        rows = [rec.row for rec in numerical_classes(g)]
-        assert _table(as_context(g)).bits == tuple(
-            sum(1 << k for k, v in enumerate(row) if v) for row in rows
-        ), g
+def test_class_table_holds_rows_keys_and_tags():
+    """The table keeps what the formulas give and nothing derived from the
+    rows: one row, one representative key and one tag tuple per class."""
+    assert fcurves._Table._fields == ("rows", "keys", "tags")
+    for g in (3, 12, 40):
+        table = _table(as_context(g))
+        assert len({len(table.rows), len(table.keys), len(table.tags)}) == 1, g
+
+
+def test_extent_is_one_past_the_last_row_meeting_the_coordinate():
+    """_extent(ctx, k) equals a brute-force scan of the rows, 0 where no
+    row meets coordinate k."""
+    for g in [*range(3, 41), 80, 120]:
+        ctx = as_context(g)
+        rows = _table(ctx).rows
+        for k in range(ctx.dim):
+            expected = max((i + 1 for i, row in enumerate(rows) if row[k]), default=0)
+            assert fcurves._extent(ctx, k) == expected, (g, k)
 
 
 def test_class_objects_share_the_table_tuples():
