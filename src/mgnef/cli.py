@@ -3,8 +3,9 @@
 Exit status: 0 when the requested checks pass, 1 when a check fails or a
 domain error occurs, 2 for usage and parse errors, for a result with a
 number longer than 4300 digits and for an --output file that cannot be
-written.  All rational numbers in JSON output are
-strings like ``5/3`` in lowest terms.
+written, and 141 when stdout is closed before the output is written (as by
+``mgnef fcurves --genus 60 | head -1``; nothing is printed).  All rational
+numbers in JSON output are strings like ``5/3`` in lowest terms.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -370,7 +372,15 @@ def main(argv=None) -> int:
             raise UnsupportedGenusError(
                 f"genus {args.genus} exceeds the class table limit {_TABLE_MAX_GENUS}"
             )
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early, as by a pipe into head: the status a shell
+        # gives a command killed by SIGPIPE.  Python flushes stdout again at
+        # exit, so it is pointed at the null device first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, _TooLong, OSError) as exc:  # OSError: --output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -442,6 +445,25 @@ def test_unwritable_output_exit2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(target) in err and err.count("\n") == 1
     assert not target.parent.exists()
+
+
+def test_closed_stdout_pipe_exits_141_silently():
+    """A reader that takes 100 bytes of the genus 40 JSON listing (about 420
+    KB, more than a pipe holds) and closes the pipe ends the command with
+    the status a shell gives a command killed by SIGPIPE, and no message."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mgnef", "fcurves", "--genus", "40", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert head.startswith(b'{\n  "command": "fcurves"') and len(head) == 100
+    assert err == b""
 
 
 @pytest.mark.parametrize(
