@@ -334,13 +334,12 @@ def _support_pairings(d: DivisorClass):
 
 @lru_cache(maxsize=None)
 def _extent(ctx: GenusContext, k: int) -> int:
-    """1 + the last table position whose row is nonzero at coordinate k,
-    found scanning the rows from the table's end; built per coordinate on
-    first use, since a support touches few of them."""
+    """1 + the last table position whose row is nonzero at coordinate k, 0
+    if none is, found scanning the rows from the table's end; built per
+    coordinate on first use, since a support touches few of them."""
     rows = _table(ctx).rows
-    # the number of rows after the last one that meets k, all of them if none does
-    after = next(compress(range(len(rows)), map(itemgetter(k), reversed(rows))), len(rows))
-    return len(rows) - after
+    rows_after = next(compress(range(len(rows)), map(itemgetter(k), reversed(rows))), len(rows))
+    return len(rows) - rows_after
 
 
 def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
