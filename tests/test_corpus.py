@@ -32,7 +32,7 @@ DATA = Path(__file__).resolve().parent / "data"
 GENERA = [*range(3, 41), 60, 80, 120, 2, 121]
 
 # the queries at small genera, at the query-mix genera and up to the limit
-QUERY_GENERA = [3, 4, 7, 12, 24, 40, 80, 120]
+QUERY_GENERA = [3, 4, 7, 12, 24, 40, 60, 80, 120]
 # the zero class, both rays of the face and a point inside it, a class off
 # the face, K, an F-nef class with dense support, and a malformed expression
 CHECK_DIVISORS = ["0", "L", "-L", "12L-d0", "5/2*L + 1/3*12L-d0", "L - d7", "K", "11*L + K", "L +"]
@@ -40,6 +40,16 @@ CHECK_DIVISORS = ["0", "L", "-L", "12L-d0", "5/2*L + 1/3*12L-d0", "L - d7", "K",
 # a class the Satake model has no D for
 PULLBACK_DIVISORS = ["13*M - D", "-M", "M", "0", "1/2*D"]
 PULLBACK_MODELS = ["satake", "partial", "perfect"]
+# at a query-mix genus, one input per branch of the parser that raises
+# ParseError, in the parser's order: coefficient without '*', bare constant,
+# zero denominator, missing denominator, d without a subscript, a number
+# where a name belongs, two terms without a sign, a doubled sign, a blank
+# expression and a digit that is not decimal; then a subscript past the
+# genus, refused by the domain check
+REFUSED_GENUS = 40
+REFUSED_CHECKS = ["3L", "5", "1/0*L", "1/ * L", "d", "2*3*L", "L L", "L -- d0", " ", "\u00b2*L",
+                  "d99"]
+REFUSED_PULLBACKS = ["2M", "1/0*M"]
 
 # the class listing at small genera and at two query-mix genera, and the
 # refusals on both sides of the class table's range
@@ -67,7 +77,11 @@ def query_invocations() -> list[list[str]]:
                   "--format", fmt]
                  for g in QUERY_GENERA for model in PULLBACK_MODELS
                  for text in PULLBACK_DIVISORS for fmt in ("text", "json")]
-    return checks + pullbacks
+    refused = [["check", "--genus", str(REFUSED_GENUS), "--divisor", text, "--format", fmt]
+               for text in REFUSED_CHECKS for fmt in ("text", "json")]
+    refused += [["pullback", "--genus", str(REFUSED_GENUS), "--model", "perfect", "--divisor", text,
+                 "--format", fmt] for text in REFUSED_PULLBACKS for fmt in ("text", "json")]
+    return checks + pullbacks + refused
 
 
 def listing_invocations() -> list[list[str]]:
