@@ -2,10 +2,11 @@
 
 A record lists its fields in the class attribute ``_fields`` and writes its
 own ``__init__``, which stores them with ``object.__setattr__``.  The base
-gives every record equality and hashing by field values within its own
-class, a ``repr`` like ``GenusContext(g=5)``, and an ``AttributeError`` on
-any assignment or deletion.  Instances keep a ``__dict__``, so pickle,
-``copy`` and ``functools.cached_property`` work unchanged.
+gives every record equality and hashing by field values (or by the names
+in a ``key`` class keyword) within its own class, a ``repr`` like
+``GenusContext(g=5)``, and an ``AttributeError`` on any assignment or
+deletion.  Instances keep a ``__dict__``, so pickle, ``copy`` and
+``functools.cached_property`` work unchanged.
 """
 
 from operator import attrgetter
@@ -14,9 +15,9 @@ from operator import attrgetter
 class Record:
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, key=None, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._values = attrgetter(*cls._fields)
+        cls._values = attrgetter(*(key or cls._fields))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -32,7 +32,6 @@ from .errors import (
 from .fcurves import _support_pairings, _table, _witness_values, is_fnef, numerical_classes
 from .linalg import (
     QMatrix,
-    Vec,
     _divide_gcd,
     _echelon,
     _reduce,
@@ -89,26 +88,28 @@ class PolyCone(Record):
         return cls(dim, (), (), prim, genus)
 
     def contains(self, point) -> bool:
-        x = _as_point(self, point)
+        # a positive multiple of the point is in the cone exactly when it is
+        x, _ = _as_point(self, point)
         if self.ineq_rows:
-            # a positive multiple of the point has the same signs
-            x = clear_denominators(x)
             return all(sum(map(mul, r, x)) >= 0 for r in self.ineq_rows)
         if self.generators is not None:
-            return nonneg_combination(list(self.generators), x) is not None
+            return nonneg_combination(self.generators, x) is not None
         raise ValueError("cone has neither inequalities nor generators")
 
 
-def _as_point(cone: PolyCone, point) -> Vec:
+def _as_point(cone: PolyCone, point) -> tuple[Sequence, int]:
+    """Integers x and a positive s with point = x / s: a divisor's numerators
+    and denominator, or the coordinates read through ``vec`` and cleared."""
     if isinstance(point, DivisorClass):
         if cone.genus is not None and point.ctx.g != cone.genus:
             raise GenusMismatchError(f"divisor genus {point.ctx.g} vs cone genus {cone.genus}")
-        x = point.coeffs()
+        x, s = point.num, point.den
     else:
         x = vec(point)
+        x, s = clear_denominators(x), lcm(*(v.denominator for v in x))
     if len(x) != cone.dim:
         raise ValueError(f"point of length {len(x)} in a {cone.dim}-dimensional cone")
-    return x
+    return x, s
 
 
 def fnef_cone(g) -> PolyCone:
@@ -133,9 +134,9 @@ def nonneg_combination(
     system is infeasible, at once when a row that is zero in every column
     has a nonzero target.  Each tableau row is a positive multiple of its
     rational row in ints, so a pivot is the echelon's elimination step,
-    columns are priced in ints and values are read over the row's basic
-    entry.  Raises ValueError on a column of the wrong length.
-    """
+    columns are priced and ratios compared in ints, and values are read
+    over the row's basic entry.  Raises ValueError on a column of the
+    wrong length."""
     m, n = len(target), len(columns)
     for col in columns:
         if len(col) != m:
@@ -146,22 +147,20 @@ def nonneg_combination(
     # any other target, no x solves the row.  The target is read through
     # Fraction, as the tableau reads it, so "0" counts as zero
     rows = []
-    for i in range(m):
-        if any(col[i] for col in columns):
-            rows.append(i)
-        elif target[i] and Fraction(target[i]):
+    for row, t in zip(zip(*columns) if columns else [()] * m, target):
+        if any(row):
+            rows.append((*row, t))
+        elif t and Fraction(t):
             return None
     m = len(rows)
     tableau: list[list[int]] = []
-    for k, i in enumerate(rows):
-        row, rhs = [Fraction(col[i]) for col in columns], Fraction(target[i])
+    for k, row in enumerate(rows):
         # the row flipped for a negative target and cleared of denominators
-        # together with its artificial entry, the row's basic entry
-        scale = lcm(rhs.denominator, *(x.denominator for x in row))
-        sign = -1 if rhs < 0 else 1
-        tableau.append([sign * x.numerator * (scale // x.denominator) for x in row]
-                       + [scale if j == k else 0 for j in range(m)]
-                       + [sign * rhs.numerator * (scale // rhs.denominator)])
+        # with its artificial entry, the row's basic entry (an int as it is)
+        row = [x if x.__class__ is int else Fraction(x) for x in row]
+        scale, sign = lcm(*(x.denominator for x in row)), -1 if row[-1] < 0 else 1
+        *row, rhs = [sign * x.numerator * (scale // x.denominator) for x in row]
+        tableau.append(row + [scale if j == k else 0 for j in range(m)] + [rhs])
     basis = list(range(n, n + m))
     while True:
         # every tableau row is a positive multiple of its rational row, so a
@@ -179,13 +178,14 @@ def nonneg_combination(
         )
         if entering is None:
             break
-        pivot_row = min(
-            (i for i in range(m) if tableau[i][entering] > 0),
-            key=lambda i: (Fraction(tableau[i][-1], tableau[i][entering]), basis[i]),
-            default=None,
-        )
-        if pivot_row is None:
+        # the smallest ratio rhs / entry over the positive entries, each an
+        # integer over the lcm of those entries, then the smallest basic column
+        positive = [i for i, row in enumerate(tableau) if row[entering] > 0]
+        if not positive:
             raise RuntimeError("phase-1 objective cannot be unbounded")
+        scale = lcm(*(tableau[i][entering] for i in positive))
+        pivot_row = min(positive, key=lambda i: (
+            tableau[i][-1] * (scale // tableau[i][entering]), basis[i]))
         pivot = {entering: tableau[pivot_row]}
         for i, row in enumerate(tableau):
             if i != pivot_row and row[entering]:
@@ -331,13 +331,13 @@ def face_of(cone: PolyCone, point, limit: int = DEFAULT_DIM_LIMIT) -> FaceCertif
     """
     if not cone.ineq_rows:
         raise ValueError("face_of needs an inequality representation")
-    x = _as_point(cone, point)
+    x, s = _as_point(cone, point)
     labels = cone.labels or tuple(f"ineq{i}" for i in range(len(cone.ineq_rows)))
     active_idx: list[int] = []
     for i, row in enumerate(cone.ineq_rows):
         v = dot(row, x)
         if v < 0:
-            raise NotMemberError(f"violates {labels[i]}: value {v}")
+            raise NotMemberError(f"violates {labels[i]}: value {Fraction(v, s)}")
         if v == 0:
             active_idx.append(i)
     active_rows = [cone.ineq_rows[i] for i in active_idx]
@@ -363,8 +363,8 @@ def face_of(cone: PolyCone, point, limit: int = DEFAULT_DIM_LIMIT) -> FaceCertif
     # 12*lambda - delta_0
     mat = det = None
     if cone.genus is not None and gens == (
-        primitive(lambda_class(cone.genus).coeffs()),
-        primitive(twelve_lambda_minus_delta0(cone.genus).coeffs()),
+        primitive(lambda_class(cone.genus).num),
+        primitive(twelve_lambda_minus_delta0(cone.genus).num),
     ):
         mat = lemma_matrix(cone.genus)
         det = mat.det()
@@ -447,7 +447,7 @@ def face_certificate(
     return FaceCertificate(
         genus=ctx.g,
         face_dim=d - active_rank,
-        generators=(primitive(gen1.coeffs()), primitive(gen2.coeffs())),
+        generators=(primitive(gen1.num), primitive(gen2.num)),
         active_curves=active,
         active_rank=active_rank,
         lemma_mat=mat,

@@ -13,8 +13,11 @@ reflection: delta_k means delta_{g-k} when k > floor(g/2).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import cached_property, lru_cache, total_ordering
+from itertools import compress
+from math import gcd, lcm
 from operator import index
 from typing import Sequence, Union
 
@@ -26,6 +29,9 @@ from .errors import (
     ParseError,
     UnsupportedGenusError,
 )
+
+
+_ZERO = Fraction(0)  # shared by every zero coordinate
 
 
 def reflect_index(k: int, g: int) -> int:
@@ -67,28 +73,62 @@ class GenusContext(Record):
 
 
 def as_context(g: Union[int, GenusContext]) -> GenusContext:
-    return g if isinstance(g, GenusContext) else GenusContext(g)
+    # one context per genus, which the per-genus caches then find by identity
+    return g if isinstance(g, GenusContext) else _context(index(g))
 
 
-class DivisorClass(Record):
-    """Rational divisor class a*lambda - sum b_i delta_i, i = 0..floor(g/2)."""
+_context = lru_cache(maxsize=None)(GenusContext)
+
+
+class DivisorClass(Record, key=("ctx", "num", "den")):
+    """Rational divisor class a*lambda - sum b_i delta_i, i = 0..floor(g/2).
+
+    Stored as the integer numerators ``num`` of (a, b_0, ..., b_{floor(g/2)})
+    over one positive denominator ``den``, in lowest terms: the gcd of the
+    numerators and the denominator is 1.  ``a``, ``b`` and ``coeffs()`` are
+    ``Fraction`` views of that form; equality and hashing read the form.
+    """
 
     _fields = ("ctx", "a", "b")
 
     def __init__(self, ctx: GenusContext, a: Fraction, b: tuple[Fraction, ...]):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        c = (a, *b)
+        # cleared by the lcm of its denominators, the vector is in lowest terms
+        den = lcm(*(x.denominator for x in c))
+        vars(self).update(ctx=ctx, num=tuple(x.numerator * (den // x.denominator) for x in c),
+                          den=den)
         self.__post_init__()
+
+    @classmethod
+    def _of(cls, ctx: GenusContext, num: tuple[int, ...], den: int = 1) -> "DivisorClass":
+        """The class num / den, for integers num over a positive den."""
+        q = gcd(den, *num)
+        if q != 1:
+            num, den = tuple(x // q for x in num), den // q
+        d = object.__new__(cls)
+        vars(d).update(ctx=ctx, num=num, den=den)
+        d.__post_init__()
+        return d
 
     def __post_init__(self):
         # its own method, called once per construction: perfbench's tracer
         # counts divisor objects by wrapping it
         want = self.ctx.max_delta + 1
-        if len(self.b) != want:
-            raise ValueError(f"expected {want} boundary coefficients, got {len(self.b)}")
+        if len(self.num) - 1 != want:
+            raise ValueError(f"expected {want} boundary coefficients, got {len(self.num) - 1}")
 
     # -- coefficient access -------------------------------------------------
+
+    @cached_property
+    def _view(self) -> tuple[Fraction, ...]:
+        num, den = self.num, self.den
+        view = [_ZERO] * len(num)
+        for i in compress(range(len(num)), num):
+            view[i] = Fraction(num[i], den)
+        return tuple(view)
+
+    a = property(lambda self: self._view[0], doc="The coefficient a of lambda.")
+    b = property(lambda self: self._view[1:], doc="The coefficients b_0, ..., b_{floor(g/2)}.")
 
     def b_at(self, k: int) -> Fraction:
         """b coefficient for subscript k, reflecting k past floor(g/2)."""
@@ -100,58 +140,48 @@ class DivisorClass(Record):
 
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coordinate vector (a, b_0, ..., b_{floor(g/2)})."""
-        return (self.a, *self.b)
+        return self._view
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_ctx(self, other: "DivisorClass") -> None:
+    def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
         if self.ctx != other.ctx:
-            raise GenusMismatchError(
-                f"genus {self.ctx.g} combined with genus {other.ctx.g}"
-            )
+            raise GenusMismatchError(f"genus {self.ctx.g} combined with genus {other.ctx.g}")
+        den = lcm(self.den, other.den)
+        f, h = den // self.den, sign * (den // other.den)
+        num = tuple(f * x + h * y for x, y in zip(self.num, other.num))
+        return DivisorClass._of(self.ctx, num, den)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_ctx(other)
-        return DivisorClass(
-            self.ctx, self.a + other.a, tuple(x + y for x, y in zip(self.b, other.b))
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_ctx(other)
-        return DivisorClass(
-            self.ctx, self.a - other.a, tuple(x - y for x, y in zip(self.b, other.b))
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.ctx, -self.a, tuple(-x for x in self.b))
+        return DivisorClass._of(self.ctx, tuple(-x for x in self.num), self.den)
 
     def scale(self, c) -> "DivisorClass":
         c = Fraction(c)
-        return DivisorClass(self.ctx, c * self.a, tuple(c * x for x in self.b))
+        return DivisorClass._of(self.ctx, tuple(c.numerator * x for x in self.num),
+                                c.denominator * self.den)
 
     def __rmul__(self, c) -> "DivisorClass":
         return self.scale(c)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and all(x == 0 for x in self.b)
+        return not any(self.num)
 
     # -- rendering ----------------------------------------------------------
 
     def to_expr(self) -> str:
         """Signed expansion like ``13*L - 2*d0 - 2*d1``."""
-        pieces: list[str] = []
-        if self.a != 0:
-            pieces.append(f"{self.a}*L")
-        for i, bi in enumerate(self.b):
-            c = -bi
-            if c == 0:
-                continue
-            if not pieces:
-                pieces.append(f"{c}*d{i}" if c > 0 else f"-{-c}*d{i}")
-            else:
-                sign = " + " if c > 0 else " - "
-                pieces.append(f"{sign}{abs(c)}*d{i}")
-        return "".join(pieces) if pieces else "0"
+        pieces = [f"{self.a}*L"] if self.a else []
+        for i, c in enumerate(self.b):
+            if c:  # delta_i has coefficient -c
+                sign = " - " if c > 0 else " + "
+                pieces.append(f"{sign}{abs(c)}*d{i}" if pieces else f"{-c}*d{i}")
+        return "".join(pieces) or "0"
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,8 +200,7 @@ def from_coeffs(ctx: GenusContext, coeffs: Sequence) -> DivisorClass:
     ctx = as_context(ctx)
     if len(coeffs) != ctx.dim:
         raise ValueError(f"expected {ctx.dim} coordinates, got {len(coeffs)}")
-    vals = [Fraction(c) for c in coeffs]
-    return DivisorClass(ctx, vals[0], tuple(vals[1:]))
+    return DivisorClass(ctx, Fraction(coeffs[0]), tuple(map(Fraction, coeffs[1:])))
 
 
 # -- named divisors ---------------------------------------------------------
@@ -179,44 +208,37 @@ def from_coeffs(ctx: GenusContext, coeffs: Sequence) -> DivisorClass:
 
 def zero_divisor(ctx) -> DivisorClass:
     ctx = as_context(ctx)
-    return DivisorClass(ctx, Fraction(0), tuple(Fraction(0) for _ in range(ctx.max_delta + 1)))
+    return DivisorClass._of(ctx, (0,) * ctx.dim)
 
 
 def lambda_class(ctx) -> DivisorClass:
     ctx = as_context(ctx)
-    return DivisorClass(ctx, Fraction(1), tuple(Fraction(0) for _ in range(ctx.max_delta + 1)))
+    return DivisorClass._of(ctx, (1,) + (0,) * (ctx.dim - 1))
 
 
 def delta(ctx, k: int) -> DivisorClass:
     """The boundary class delta_k (k reflected into 0..floor(g/2))."""
     ctx = as_context(ctx)
-    i = reflect_index(k, ctx.g)
-    b = [Fraction(0)] * (ctx.max_delta + 1)
-    b[i] = Fraction(-1)
-    return DivisorClass(ctx, Fraction(0), tuple(b))
+    num = [0] * ctx.dim
+    num[1 + reflect_index(k, ctx.g)] = -1
+    return DivisorClass._of(ctx, tuple(num))
 
 
 def twelve_lambda_minus_delta0(ctx) -> DivisorClass:
     ctx = as_context(ctx)
-    b = [Fraction(0)] * (ctx.max_delta + 1)
-    b[0] = Fraction(1)
-    return DivisorClass(ctx, Fraction(12), tuple(b))
+    return DivisorClass._of(ctx, (12, 1) + (0,) * (ctx.dim - 2))
 
 
 def boundary_total(ctx) -> DivisorClass:
     """Total boundary, the sum of all delta_i."""
     ctx = as_context(ctx)
-    return DivisorClass(
-        ctx, Fraction(0), tuple(Fraction(-1) for _ in range(ctx.max_delta + 1))
-    )
+    return DivisorClass._of(ctx, (0,) + (-1,) * (ctx.dim - 1))
 
 
 def canonical_class(ctx) -> DivisorClass:
     """13*lambda - 2 * (sum of all delta_i)."""
     ctx = as_context(ctx)
-    return DivisorClass(
-        ctx, Fraction(13), tuple(Fraction(2) for _ in range(ctx.max_delta + 1))
-    )
+    return DivisorClass._of(ctx, (13,) + (2,) * (ctx.dim - 1))
 
 
 def face_member(ctx, alpha, beta) -> DivisorClass:
@@ -225,9 +247,7 @@ def face_member(ctx, alpha, beta) -> DivisorClass:
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha < 0 or beta < 0:
         raise NegativeCoefficientError(f"alpha={alpha}, beta={beta} must be >= 0")
-    b = [Fraction(0)] * (ctx.max_delta + 1)
-    b[0] = beta
-    return DivisorClass(ctx, alpha + 12 * beta, tuple(b))
+    return DivisorClass(ctx, alpha + 12 * beta, (beta,) + (_ZERO,) * ctx.max_delta)
 
 
 def linear_combination(terms: Sequence[tuple], ctx=None) -> DivisorClass:
@@ -244,99 +264,91 @@ def linear_combination(terms: Sequence[tuple], ctx=None) -> DivisorClass:
 # -- parsing ----------------------------------------------------------------
 
 
-def _read_int(text: str, pos: int) -> tuple[int, int]:
-    """The decimal number starting at pos, and the position after it."""
-    end = pos
-    while end < len(text) and text[end].isdecimal():
-        end += 1
-    if end == pos:
+def _term_pattern(names: str) -> re.Pattern:
+    r"""One term of a linear expression, matched at a character that is not
+    a space: a sign and the spaces after it, then a name, or a number ``p``
+    or ``p/q`` with the spaces after it and ``*`` and a name, each part
+    optional, and the spaces after the term.  ``names`` is an alternation
+    tried before numbers, so a name may start with a digit; ``\s`` and
+    ``\d`` are ``str.isspace`` and ``str.isdecimal``."""
+    return re.compile(rf"(?P<sign>[+-]?\s*)(?:(?!{names})(?P<num>\d+)(?:/(?P<den>\d*))?"
+                      rf"(?P<ws>\s*)(?P<star>\*\s*)?)?(?P<name>{names})?\s*")
+
+
+def _read_int(digits: str, pos: int) -> int:
+    """The decimal number ``digits``, which starts at pos."""
+    if not digits:
         raise ParseError("expected a number", pos)
-    if end - pos > 4300:  # CPython's default int/str limit, on every version
+    if len(digits) > 4300:  # CPython's default int/str limit, on every version
         raise ParseError("number longer than 4300 digits", pos)
-    return int(text[pos:end]), end
+    return int(digits)
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_linear(text: str, dim: int, atom, what: str) -> list[Fraction]:
-    """Coefficient vector of ``[+|-] term ([+|-] term)*`` over a basis.
-
-    A term is a name, ``p/q * name`` or a bare ``0``.  ``atom(pos)`` returns
-    the nonzero coordinates, as (index, value) pairs, of the name at pos and
-    the position after it, or None; it runs before numbers are read, so a
-    name may start with a digit.  ``what`` describes the names in errors.
-    """
-    total = [Fraction(0)] * dim
-    pos = _skip_ws(text, 0)
-    if pos == len(text):
+def _parse_linear(text: str, dim: int, term: re.Pattern, atom, what: str) -> tuple[list[int], int]:
+    """Coefficient vector of ``[+|-] term ([+|-] term)*`` over a basis, as
+    integer numerators over one positive denominator.  A term is a name,
+    ``p/q * name`` or a bare ``0``, read by one match of ``term`` (see
+    ``_term_pattern``).  ``atom(name, pos)`` returns the nonzero integer
+    coordinates, as (index, value) pairs, of the name matched at pos.
+    ``what`` describes the names in errors."""
+    terms = []  # (p, q, coordinates) of each term p/q * name
+    pos, end = len(text) - len(text.lstrip()), len(text)
+    if pos == end:
         raise ParseError("empty divisor expression", pos)
-    while pos < len(text):
-        sign = -1 if text[pos] == "-" else 1
-        if text[pos] in "+-":
-            pos = _skip_ws(text, pos + 1)
-        hit = atom(pos)
-        if hit is None and text[pos : pos + 1].isdecimal():
-            start = pos
-            coeff, pos = _read_int(text, pos)
-            if text.startswith("/", pos):
-                den, end = _read_int(text, pos + 1)
-                if den == 0:
-                    raise ParseError("zero denominator", pos + 1)
-                coeff, pos = Fraction(coeff, den), end
-            pos = _skip_ws(text, pos)
-            if text.startswith("*", pos):
-                pos = _skip_ws(text, pos + 1)
-                hit = atom(pos)
-            elif not coeff:
-                hit = (), pos  # a bare 0 adds nothing
-            elif pos < len(text) and text[pos] not in "+-":
-                raise ParseError("expected '*' after the coefficient", pos)
-            else:
-                raise ParseError("bare constant in a divisor expression", start)
-            sign *= coeff
-        if hit is None:
-            raise ParseError(f"expected {what}", pos)
-        coords, pos = hit
-        for i, x in coords:
-            total[i] += sign * x
-        pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] not in "+-":
+    while pos < end:
+        m = term.match(text, pos)
+        sign, digits, den, _, star, name = m.groups()
+        p, q, pos = -1 if sign[:1] == "-" else 1, 1, m.end()
+        if digits is not None:
+            p *= _read_int(digits, m.start("num"))
+            if den is not None:
+                q = _read_int(den, m.start("den"))
+                if not q:
+                    raise ParseError("zero denominator", m.start("den"))
+            if star is None:  # only a bare 0 is a term without '*'
+                pos = m.end("ws")
+                if p:
+                    if pos < end and text[pos] not in "+-":
+                        raise ParseError("expected '*' after the coefficient", pos)
+                    raise ParseError("bare constant in a divisor expression", m.start("num"))
+                name = ""
+            elif name is None:
+                raise ParseError(f"expected {what}", m.end("star"))
+        elif name is None:
+            raise ParseError(f"expected {what}", m.end("sign"))
+        if name:
+            terms.append((p, q, atom(name, m.start("name"))))
+        if pos < end and text[pos] not in "+-":
             raise ParseError("expected '+' or '-'", pos)
-    return total
+    den = lcm(*(q for _, q, _ in terms))
+    num = [0] * dim
+    for p, q, coords in terms:
+        p *= den // q
+        for i, x in coords:
+            num[i] += p * x
+    return num, den
 
 
 # shorthands in matching order; "12L-d0" is tried before numbers
-_SHORTHANDS = (
-    ("12L-d0", twelve_lambda_minus_delta0),
-    ("lambda", lambda_class),
-    ("L", lambda_class),
-    ("Delta", boundary_total),
-    ("K", canonical_class),
-)
+_SHORTHANDS = {"12L-d0": twelve_lambda_minus_delta0, "lambda": lambda_class, "L": lambda_class,
+               "Delta": boundary_total, "K": canonical_class}
+_DIVISOR_TERM = _term_pattern("|".join(map(re.escape, _SHORTHANDS)) + r"|d\d*")
 
 
 @lru_cache(maxsize=None)
-def _coeffs(make, ctx: GenusContext, *args) -> tuple[tuple[int, Fraction], ...]:
-    """Nonzero coordinates (index, value) of a named class, built once per genus."""
-    return tuple((i, x) for i, x in enumerate(make(ctx, *args).coeffs()) if x)
+def _coeffs(make, ctx: GenusContext, *args) -> tuple[tuple[int, int], ...]:
+    """Nonzero integer coordinates (index, value) of a named class, built once per genus."""
+    return tuple((i, x) for i, x in enumerate(make(ctx, *args).num) if x)
 
 
 def parse_divisor(text: str, ctx) -> DivisorClass:
     """Parse ``a*L - b0*d0 - ...`` (shorthands: lambda, 12L-d0, K, Delta, 0)."""
     ctx = as_context(ctx)
 
-    def atom(pos):
-        for name, make in _SHORTHANDS:
-            if text.startswith(name, pos):
-                return _coeffs(make, ctx), pos + len(name)
-        if text.startswith("d", pos):
-            k, end = _read_int(text, pos + 1)
-            return _coeffs(delta, ctx, reflect_index(k, ctx.g)), end
-        return None
+    def atom(name, pos):
+        if name[0] == "d":
+            return ((1 + reflect_index(_read_int(name[1:], pos + 1), ctx.g), -1),)
+        return _coeffs(_SHORTHANDS[name], ctx)
 
-    v = _parse_linear(text, ctx.dim, atom, "a divisor name")
-    return DivisorClass(ctx, v[0], tuple(v[1:]))
+    num, den = _parse_linear(text, ctx.dim, _DIVISOR_TERM, atom, "a divisor name")
+    return DivisorClass._of(ctx, tuple(num), den)

@@ -21,13 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, groupby, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter, mul
 
 from ._record import Record
 from .divisors import DivisorClass, GenusContext, as_context
 from .errors import GenusMismatchError, IndexOutOfRangeError
-from .linalg import Vec, clear_denominators
+from .linalg import Vec
 
 # 12 * (D . C) for D = a*lambda - sum_k b_k delta_k: per family, the names
 # of its indices and the terms (coefficient, coordinate).  A coordinate is
@@ -155,20 +155,16 @@ class FCurve(Record):
 
 
 def _on_support(c):
-    """The coordinates where c is nonzero, an itemgetter ``pick`` over them,
-    and c picked by it with its denominators cleared, so that
-    ``sum(map(mul, pick(row), xs))`` is row . c times the lcm of c's
-    denominators; only the support's denominators are read, since a zero
-    has denominator 1.
-
-    The first index is picked again at the end, which keeps a one-coordinate
-    pick a tuple; it is sliced off the picked c, and map stops at the shorter
-    of the two.  When c is zero, coordinate 0 stands in for the empty support.
-    """
+    """The coordinates where the integer vector c is nonzero, an itemgetter
+    ``pick`` over them, and xs, c picked by it: ``sum(map(mul, pick(row), xs))``
+    is row . c.  The first index is picked again at the end, which keeps a
+    one-coordinate pick a tuple; it is sliced off xs, and map stops at the
+    shorter of the two.  When c is zero, coordinate 0 stands in for the
+    empty support."""
     support = list(compress(range(len(c)), c))
     picked = support or [0]
     pick = itemgetter(*picked, picked[0])
-    return support, pick, clear_denominators(pick(c)[:-1])
+    return support, pick, pick(c)[:-1]
 
 
 def ineq_row(c: FCurve) -> Vec:
@@ -184,8 +180,7 @@ def _same_genus(d: DivisorClass, ctx: GenusContext) -> None:
 def intersect(d: DivisorClass, c: FCurve) -> Fraction:
     """Intersection number of a divisor class with an F-curve."""
     _same_genus(d, c.ctx)
-    row = _row12(c.family, c.indices, c.ctx.g)
-    return sum((x * y for x, y in zip(row, d.coeffs()) if x), Fraction(0)) / 12
+    return Fraction(sum(map(mul, _row12(c.family, c.indices, c.ctx.g), d.num)), 12 * d.den)
 
 
 def intersection_vector(c: FCurve) -> Vec:
@@ -203,14 +198,11 @@ def _witness_rows(ctx: GenusContext) -> tuple[tuple[int, ...], ...]:
 
 def _witness_values(d: DivisorClass, ctx: GenusContext) -> list[Fraction]:
     """d . C for the genus-ctx witness curves, one per basis slot: each row
-    paired with d's coefficients cleared of denominators, on d's support,
-    over 12 times the clearing scale.  Every zero value is one object."""
+    paired with d's numerators on its support, over 12 * d.den; every zero is one object."""
     _same_genus(d, ctx)
-    c = d.coeffs()
-    _, pick, xs = _on_support(c)
-    scale = 12 * lcm(*(v.denominator for v in c))
+    _, pick, xs = _on_support(d.num)
     vals = [sum(map(mul, pick(row), xs)) for row in _witness_rows(ctx)]
-    return [Fraction(v, scale) if v else _ZERO for v in vals]
+    return [Fraction(v, 12 * d.den) if v else _ZERO for v in vals]
 
 
 def _raw_indices(n: int):
@@ -320,9 +312,9 @@ def enumerate_fcurves(g) -> list[FCurve]:
 def _support_pairings(d: DivisorClass):
     """(class index, value) in table order for each class whose row is
     nonzero on d's support, nothing for the zero class.  The value, the row
-    paired with d's coefficients cleared of denominators on that support, is
-    a positive multiple of d . C; a class not yielded meets d in exactly 0."""
-    support, pick, xs = _on_support(d.coeffs())
+    paired with d's numerators on that support, is a positive multiple of
+    d . C; a class not yielded meets d in exactly 0."""
+    support, pick, xs = _on_support(d.num)
     if not support:
         return
     rows = _table(d.ctx).rows

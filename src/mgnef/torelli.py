@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Sequence
 
 from ._record import Record
@@ -26,6 +27,7 @@ from .divisors import (
     GenusContext,
     _coeffs,
     _parse_linear,
+    _term_pattern,
     as_context,
     boundary_total,
     canonical_class,
@@ -137,17 +139,15 @@ class AbelianDivisor(Record):
 
 # nonzero coordinates of (a, b) in a*M - b*D, so D stores b = -1
 _BASIS = {"M": ((0, 1),), "D": ((1, -1),)}
+_ABELIAN_TERM = _term_pattern("M|D")
 
 
 def parse_abelian(text: str, model_name: str) -> AbelianDivisor:
     """Parse ``a*M - b*D`` (either term optional, rationals as p/q)."""
-
-    def atom(pos):
-        coords = _BASIS.get(text[pos : pos + 1])
-        return None if coords is None else (coords, pos + 1)
-
+    num, den = _parse_linear(text, 2, _ABELIAN_TERM, lambda name, pos: _BASIS[name],
+                             "basis class M or D")
     # the model is checked by AbelianDivisor, which also refuses D at rank 1
-    return AbelianDivisor(model_name, *_parse_linear(text, 2, atom, "basis class M or D"))
+    return AbelianDivisor(model_name, Fraction(num[0], den), Fraction(num[1], den))
 
 
 # the images of M and D: lambda and delta_0, as named classes of divisors
@@ -174,11 +174,12 @@ def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> Divisor
             f"divisor on model {adiv.model!r} pulled back through {model.name!r}"
         )
     ctx = as_context(ctx)
-    v = [Fraction(0)] * ctx.dim
+    den, v = lcm(adiv.a.denominator, adiv.b.denominator), [0] * ctx.dim
     for c, (make, *args) in zip((adiv.a, -adiv.b), _images(model)):
+        c = c.numerator * (den // c.denominator)
         for i, x in _coeffs(make, ctx, *args):
             v[i] += c * x
-    return DivisorClass(ctx, v[0], tuple(v[1:]))
+    return DivisorClass._of(ctx, tuple(v), den)
 
 
 def pullback_nef_cone(model: CompactificationModel, ctx) -> PolyCone:
@@ -192,7 +193,7 @@ def _pullback_nef_cone_cached(model: CompactificationModel, ctx: GenusContext) -
     # both keys are frozen and the cone is immutable; a model without a
     # pullback raises, and lru_cache keeps no exception
     rays = extreme_rays(model.nef_cone())
-    gens = [pullback(model, AbelianDivisor(model.name, *ray), ctx).coeffs() for ray in rays]
+    gens = [pullback(model, AbelianDivisor(model.name, *ray), ctx).num for ray in rays]
     return PolyCone.from_generators(gens, dim=ctx.dim, genus=ctx.g)
 
 
@@ -226,21 +227,14 @@ def classify_in_face(d: DivisorClass) -> FaceClassification:
     alpha, beta >= 0; interior members also report epsilon = a/b - 12,
     the slope excess over the boundary ray.
     """
-    if any(x != 0 for x in d.b[1:]):
+    a, b0, *rest = d.num
+    alpha = a - 12 * b0  # alpha and beta times d's denominator
+    if any(rest) or b0 < 0 or alpha < 0:
         return FaceClassification(FaceLocation.OUTSIDE)
-    beta = d.b[0]
-    alpha = d.a - 12 * beta
-    if beta < 0 or alpha < 0:
-        return FaceClassification(FaceLocation.OUTSIDE)
-    if alpha == 0 and beta == 0:
-        return FaceClassification(FaceLocation.ORIGIN, alpha, beta)
-    if beta == 0:
-        return FaceClassification(FaceLocation.RAY_LAMBDA, alpha, beta)
-    if alpha == 0:
-        return FaceClassification(FaceLocation.RAY_12LAMBDA_DELTA0, alpha, beta)
-    return FaceClassification(
-        FaceLocation.INTERIOR, alpha, beta, epsilon=Fraction(d.a, d.b[0]) - 12
-    )
+    loc = (FaceLocation.INTERIOR if alpha and b0 else FaceLocation.RAY_LAMBDA if alpha
+           else FaceLocation.RAY_12LAMBDA_DELTA0 if b0 else FaceLocation.ORIGIN)
+    return FaceClassification(loc, Fraction(alpha, d.den), Fraction(b0, d.den),
+                              Fraction(alpha, b0) if alpha and b0 else None)
 
 
 # -- semi-ampleness catalog ----------------------------------------------------

@@ -15,8 +15,11 @@ from mgnef import (
     FaceCertificate,
     FCurve,
     FCurveClass,
+    ParseError,
     QMatrix,
     as_context,
+    boundary_total,
+    canonical_class,
     delta,
     from_coeffs,
     intersect,
@@ -24,6 +27,7 @@ from mgnef import (
     lambda_class,
     numerical_classes,
     primitive,
+    reflect_index,
     twelve_lambda_minus_delta0,
 )
 from mgnef.cones import Check
@@ -270,3 +274,115 @@ def dense_classes(ctx) -> tuple[FCurveClass, ...]:
             tuple(_tag(fam, idx) for fam, idx in members),
         ))
     return tuple(records)
+
+
+# The reference for the expression parser: the character scanner that the
+# one-match-per-term parser replaced, with the two name readers of
+# ``parse_divisor`` and ``parse_abelian``.  On every text both must give the
+# same coordinates, or the same error with the same message and position.
+def _read_int(text: str, pos: int) -> tuple[int, int]:
+    """The decimal number starting at pos, and the position after it."""
+    end = pos
+    while end < len(text) and text[end].isdecimal():
+        end += 1
+    if end == pos:
+        raise ParseError("expected a number", pos)
+    if end - pos > 4300:  # CPython's default int/str limit, on every version
+        raise ParseError("number longer than 4300 digits", pos)
+    return int(text[pos:end]), end
+
+
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def scan_linear(text: str, dim: int, atom, what: str) -> list[Fraction]:
+    """Coefficient vector of ``[+|-] term ([+|-] term)*`` over a basis.
+
+    A term is a name, ``p/q * name`` or a bare ``0``.  ``atom(pos)`` returns
+    the nonzero coordinates, as (index, value) pairs, of the name at pos and
+    the position after it, or None; it runs before numbers are read, so a
+    name may start with a digit.  ``what`` describes the names in errors.
+    """
+    total = [Fraction(0)] * dim
+    pos = _skip_ws(text, 0)
+    if pos == len(text):
+        raise ParseError("empty divisor expression", pos)
+    while pos < len(text):
+        sign = -1 if text[pos] == "-" else 1
+        if text[pos] in "+-":
+            pos = _skip_ws(text, pos + 1)
+        hit = atom(pos)
+        if hit is None and text[pos : pos + 1].isdecimal():
+            start = pos
+            coeff, pos = _read_int(text, pos)
+            if text.startswith("/", pos):
+                den, end = _read_int(text, pos + 1)
+                if den == 0:
+                    raise ParseError("zero denominator", pos + 1)
+                coeff, pos = Fraction(coeff, den), end
+            pos = _skip_ws(text, pos)
+            if text.startswith("*", pos):
+                pos = _skip_ws(text, pos + 1)
+                hit = atom(pos)
+            elif not coeff:
+                hit = (), pos  # a bare 0 adds nothing
+            elif pos < len(text) and text[pos] not in "+-":
+                raise ParseError("expected '*' after the coefficient", pos)
+            else:
+                raise ParseError("bare constant in a divisor expression", start)
+            sign *= coeff
+        if hit is None:
+            raise ParseError(f"expected {what}", pos)
+        coords, pos = hit
+        for i, x in coords:
+            total[i] += sign * x
+        pos = _skip_ws(text, pos)
+        if pos < len(text) and text[pos] not in "+-":
+            raise ParseError("expected '+' or '-'", pos)
+    return total
+
+
+# shorthands in matching order; "12L-d0" is tried before numbers
+SHORTHANDS = (
+    ("12L-d0", twelve_lambda_minus_delta0),
+    ("lambda", lambda_class),
+    ("L", lambda_class),
+    ("Delta", boundary_total),
+    ("K", canonical_class),
+)
+
+
+def scan_divisor(text: str, g) -> list[Fraction]:
+    """The coordinates (a, b_0, ..., b_{floor(g/2)}) of ``parse_divisor(text, g)``."""
+    ctx = as_context(g)
+
+    def nonzero(d):
+        return tuple((i, x) for i, x in enumerate(d.coeffs()) if x)
+
+    def atom(pos):
+        for name, make in SHORTHANDS:
+            if text.startswith(name, pos):
+                return nonzero(make(ctx)), pos + len(name)
+        if text.startswith("d", pos):
+            k, end = _read_int(text, pos + 1)
+            return nonzero(delta(ctx, reflect_index(k, ctx.g))), end
+        return None
+
+    return scan_linear(text, ctx.dim, atom, "a divisor name")
+
+
+# nonzero coordinates of (a, b) in a*M - b*D, so D stores b = -1
+_BASIS = {"M": ((0, 1),), "D": ((1, -1),)}
+
+
+def scan_abelian(text: str) -> list[Fraction]:
+    """The coordinates (a, b) of ``parse_abelian(text, model)``."""
+
+    def atom(pos):
+        coords = _BASIS.get(text[pos : pos + 1])
+        return None if coords is None else (coords, pos + 1)
+
+    return scan_linear(text, 2, atom, "basis class M or D")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mgnef import (
     PERFECT,
+    SATAKE,
     CertificateFailure,
     DimensionLimitError,
     GenusMismatchError,
@@ -22,6 +23,7 @@ from mgnef import (
     dot,
     extreme_rays,
     face_certificate,
+    face_member,
     face_of,
     fnef_cone,
     from_coeffs,
@@ -257,6 +259,12 @@ def test_nonneg_combination_matches_fraction_tableau():
         solved += sol is not None
         infeasible += sol is None
     assert solved > 500 and infeasible > 500
+    # all-int systems, whose rows are their own numerators
+    for _ in range(500):
+        cols, target = _rand_lp(rng)
+        cols = [[int(4 * x) for x in c] for c in cols]
+        target = [int(4 * x) for x in target]
+        assert nonneg_combination(cols, target) == fraction_nonneg_combination(cols, target)
     # the last case has rows of different scales, so an artificial entry
     # not scaled with its row changes the pivots
     for cols, target in [([], []), ([], [0, 0]), ([], [1, 0]), ([], [0, -2]),
@@ -396,6 +404,29 @@ def test_membership_refuses_a_divisor_of_another_genus():
     assert pullback_nef_cone(PERFECT, 41).contains(d)
     assert fnef_cone(40).contains(d.coeffs())
     assert PolyCone.from_generators([d.coeffs()]).contains(d)
+
+
+def test_membership_of_a_divisor_matches_its_coordinates():
+    """``contains`` reads a divisor as its integer numerators: H-rep and V-rep
+    cones give the same answer for the divisor and for its coordinates,
+    and a model's nef cone gives the exact answer for a coordinate pair."""
+    rng = random.Random(2103)
+    for g in range(3, 41):
+        cones = [fnef_cone(g), pullback_nef_cone(PERFECT, g), pullback_nef_cone(SATAKE, g)]
+        points = [rand_divisor(rng, g) for _ in range(4)]
+        points += [face_member(g, rand_nonneg_fraction(rng) * rng.randint(0, 1),
+                               rand_nonneg_fraction(rng) * rng.randint(0, 1)) for _ in range(4)]
+        points += [d - lambda_class(g).scale(rand_nonneg_fraction(rng)) for d in points[4:]]
+        for cone in cones:
+            answers = [cone.contains(d) for d in points]
+            assert answers == [cone.contains(d.coeffs()) for d in points], (g, cone.genus)
+        assert any(pullback_nef_cone(PERFECT, g).contains(d) for d in points[4:8])
+    for model in (PERFECT, SATAKE):
+        cone = model.nef_cone()
+        for _ in range(200):
+            x = [rand_fraction(rng) for _ in range(model.picard_rank)]
+            want = all(sum(r * v for r, v in zip(row, x)) >= 0 for row in model.nef_rows)
+            assert cone.contains(x) is want and cone.contains(tuple(x)) is want, x
 
 
 # -- faces ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from mgnef import (
     GenusContext,
     GenusMismatchError,
     IndexOutOfRangeError,
+    ModelMismatchError,
     NegativeCoefficientError,
     ParseError,
     UnsupportedGenusError,
@@ -23,13 +25,23 @@ from mgnef import (
     from_coeffs,
     lambda_class,
     linear_combination,
+    parse_abelian,
     parse_divisor,
     reflect_index,
     twelve_lambda_minus_delta0,
     verify_extremal_face,
     zero_divisor,
 )
-from helpers import full_add, full_scale, full_sub, rand_divisor, rand_nonneg_fraction
+from helpers import (
+    full_add,
+    full_scale,
+    full_sub,
+    rand_divisor,
+    rand_fraction,
+    rand_nonneg_fraction,
+    scan_abelian,
+    scan_divisor,
+)
 
 
 def test_genus_context_bounds():
@@ -202,13 +214,36 @@ def test_arithmetic_matches_full_reference():
             assert _typed(d - e) == _typed(full_sub(d, e)), (d, e)
             for c in scalars + [Fraction(rng.randint(-9, 9), rng.randint(1, 5))]:
                 assert _typed(d.scale(c)) == _typed(full_scale(d, c)), (d, c)
-    # all-int operands: the sum, the difference and each coordinate stay int
+    # all-int operands: every coordinate is a Fraction view of the ints
     ctx = as_context(7)
     d = DivisorClass(ctx, 3, (0, 2, 0, 0))
     e = DivisorClass(ctx, 0, (1, 0, 0, -4))
-    assert _typed(d + e) == [(3, int), (1, int), (2, int), (0, int), (-4, int)]
+    assert _typed(d + e) == [(3, Fraction), (1, Fraction), (2, Fraction), (0, Fraction),
+                             (-4, Fraction)]
+    assert ((d + e).num, (d + e).den) == ((3, 1, 2, 0, -4), 1)
     assert _typed(d - e) == _typed(full_sub(d, e))
     assert all(t is Fraction for _, t in _typed(d.scale(0)))
+
+
+def test_integer_form_is_canonical_and_viewed_as_fractions():
+    """Each class is stored as integer numerators over one positive
+    denominator with no common factor; its coordinates are Fraction views
+    of them, and the arithmetic agrees with Fraction arithmetic."""
+    rng = random.Random(2101)
+    for g in range(3, 41):
+        for _ in range(8):
+            d, e = rand_divisor(rng, g), rand_divisor(rng, g)
+            c = rand_fraction(rng, -9, 9, 5)
+            cases = [(d, None), (e, None), (d + e, full_add(d, e)), (d - e, full_sub(d, e)),
+                     (d.scale(c), full_scale(d, c)), (-d, full_scale(d, -1))]
+            for x, want in cases:
+                assert x.den > 0 and gcd(x.den, *x.num) == 1, (g, x.num, x.den)
+                coords = tuple(Fraction(n, x.den) for n in x.num)
+                assert x.coeffs() == coords and x.a == coords[0] and x.b == coords[1:]
+                assert all(type(v) is Fraction for v in x.coeffs())
+                if want is not None:
+                    assert x == want and hash(x) == hash(want) and x.coeffs() == want.coeffs()
+            assert parse_divisor(d.to_expr(), g) == d
 
 
 # -- parsing ------------------------------------------------------------------
@@ -309,3 +344,53 @@ def test_json_dict_shape():
         "expr": "7/2*L - 1*d0 + 1/3*d1",
     }
     assert parse_divisor(payload["expr"], 5) == d
+
+
+# The alphabet of the differential test: names, subscripts past g/2 and past
+# g, numbers and quotients (a zero one and one over zero), signs, '*', '/',
+# spaces (a tab and a Unicode one), digits that are not ASCII (a decimal
+# Arabic-Indic three and a superscript two, which is not a decimal digit),
+# over-long numbers and a stray letter.
+_TOKENS = (["L", "lambda", "12L-d0", "12L-d", "Delta", "K", "M", "D", "d", "d0", "d7", "d20",
+            "d25", "d40", "d41", "d99", "0", "3", "12", "007", "2/3", "0/5", "1/0", "1/",
+            "+", "-", "*", "/", " ", "  ", "\t", "\u3000", "\u0663", "\u00b2", "x"]
+           + ["9" * 4301, "d" + "1" * 4301])
+_WEIGHTS = [3] * (len(_TOKENS) - 2) + [0.05, 0.05]
+
+
+def _ab(d):
+    return d.a, d.b
+
+
+def _outcome(parse):
+    """The value of a parse, or its error's type, message and position."""
+    try:
+        return parse()
+    except (ParseError, IndexOutOfRangeError, ModelMismatchError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parser_matches_the_reference_scanner():
+    """On seeded random texts, ``parse_divisor`` at genus 40 and
+    ``parse_abelian`` on the perfect cone and Satake models give the
+    scanner's coordinates, or its error with the same message and position;
+    so the regular expression's \\s and \\d read as ``str.isspace`` and
+    ``str.isdecimal`` do."""
+    rng = random.Random(2102)
+    seen = set()
+    for _ in range(20000):
+        text = "".join(rng.choices(_TOKENS, _WEIGHTS, k=rng.randint(0, 7)))
+        want = _outcome(lambda: scan_divisor(text, 40))
+        got = _outcome(lambda: list(parse_divisor(text, 40).coeffs()))
+        assert got == want, text
+        seen.add(want[1].split(" (")[0] if isinstance(want, tuple) else "parsed")
+        for model in ("perfect", "satake"):
+            # the Satake model refuses a D term in both
+            want = _outcome(lambda: _ab(mgnef.AbelianDivisor(model, *scan_abelian(text))))
+            assert _outcome(lambda: _ab(parse_abelian(text, model))) == want, (text, model)
+    # every outcome of the parser, and the domain refusal, were reached
+    assert seen >= {"parsed", "empty divisor expression", "expected a number",
+                    "number longer than 4300 digits", "zero denominator",
+                    "expected '*' after the coefficient", "bare constant in a divisor expression",
+                    "expected a divisor name", "expected '+' or '-'",
+                    "delta index 99 outside 0..40"}, seen

@@ -36,6 +36,8 @@ from mgnef import (
     QMatrix,
     SemiampleStatus,
     UnsupportedGenusError,
+    parse_divisor,
+    pullback,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -256,6 +258,16 @@ def test_divisor_validation_hook_runs_once_per_construction(monkeypatch):
     assert calls == [total]
     DivisorClass(G4, Fraction(1), D4.b)
     assert len(calls) == 2
+    # parsing and pullback build their result once, after the named classes
+    # they read are cached per genus by a first call
+    text, adiv = "5/2*L + 1/3*12L-d0 + 7/4*d61", AbelianDivisor("perfect", 13, 1)
+    parse_divisor(text, 120), pullback(PERFECT, adiv, 120)
+    calls.clear()
+    d = parse_divisor(text, 120)
+    assert calls == [d]
+    calls.clear()
+    image = pullback(PERFECT, adiv, 120)
+    assert calls == [image]
 
 
 # -- start-up ----------------------------------------------------------------
