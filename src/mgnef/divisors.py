@@ -92,7 +92,7 @@ class DivisorClass(Record, key=("ctx", "num", "den")):
     _fields = ("ctx", "a", "b")
 
     def __init__(self, ctx: GenusContext, a: Fraction, b: tuple[Fraction, ...]):
-        c = (a, *b)
+        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, *b)]
         # cleared by the lcm of its denominators, the vector is in lowest terms
         den = lcm(*(x.denominator for x in c))
         vars(self).update(ctx=ctx, num=tuple(x.numerator * (den // x.denominator) for x in c),
@@ -264,13 +264,15 @@ def linear_combination(terms: Sequence[tuple], ctx=None) -> DivisorClass:
 # -- parsing ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _term_pattern(names: str) -> re.Pattern:
     r"""One term of a linear expression, matched at a character that is not
     a space: a sign and the spaces after it, then a name, or a number ``p``
     or ``p/q`` with the spaces after it and ``*`` and a name, each part
     optional, and the spaces after the term.  ``names`` is an alternation
     tried before numbers, so a name may start with a digit; ``\s`` and
-    ``\d`` are ``str.isspace`` and ``str.isdecimal``."""
+    ``\d`` are ``str.isspace`` and ``str.isdecimal``.  Compiled on first
+    use, so a command that parses nothing does not pay for it."""
     return re.compile(rf"(?P<sign>[+-]?\s*)(?:(?!{names})(?P<num>\d+)(?:/(?P<den>\d*))?"
                       rf"(?P<ws>\s*)(?P<star>\*\s*)?)?(?P<name>{names})?\s*")
 
@@ -284,14 +286,14 @@ def _read_int(digits: str, pos: int) -> int:
     return int(digits)
 
 
-def _parse_linear(text: str, dim: int, term: re.Pattern, atom, what: str) -> tuple[list[int], int]:
+def _parse_linear(text: str, dim: int, names: str, atom, what: str) -> tuple[list[int], int]:
     """Coefficient vector of ``[+|-] term ([+|-] term)*`` over a basis, as
-    integer numerators over one positive denominator.  A term is a name,
-    ``p/q * name`` or a bare ``0``, read by one match of ``term`` (see
-    ``_term_pattern``).  ``atom(name, pos)`` returns the nonzero integer
-    coordinates, as (index, value) pairs, of the name matched at pos.
-    ``what`` describes the names in errors."""
-    terms = []  # (p, q, coordinates) of each term p/q * name
+    integer numerators over one positive denominator.  A term is a name of
+    the alternation ``names``, ``p/q * name`` or a bare ``0``, read by one
+    match (see ``_term_pattern``).  ``atom(name, pos)`` returns the nonzero
+    integer coordinates, as (index, value) pairs, of the name matched at
+    pos.  ``what`` describes the names in errors."""
+    term, terms = _term_pattern(names), []  # (p, q, coordinates) of each term p/q * name
     pos, end = len(text) - len(text.lstrip()), len(text)
     if pos == end:
         raise ParseError("empty divisor expression", pos)
@@ -332,7 +334,7 @@ def _parse_linear(text: str, dim: int, term: re.Pattern, atom, what: str) -> tup
 # shorthands in matching order; "12L-d0" is tried before numbers
 _SHORTHANDS = {"12L-d0": twelve_lambda_minus_delta0, "lambda": lambda_class, "L": lambda_class,
                "Delta": boundary_total, "K": canonical_class}
-_DIVISOR_TERM = _term_pattern("|".join(map(re.escape, _SHORTHANDS)) + r"|d\d*")
+_DIVISOR_NAMES = "|".join(map(re.escape, _SHORTHANDS)) + r"|d\d*"
 
 
 @lru_cache(maxsize=None)
@@ -350,5 +352,5 @@ def parse_divisor(text: str, ctx) -> DivisorClass:
             return ((1 + reflect_index(_read_int(name[1:], pos + 1), ctx.g), -1),)
         return _coeffs(_SHORTHANDS[name], ctx)
 
-    num, den = _parse_linear(text, ctx.dim, _DIVISOR_TERM, atom, "a divisor name")
+    num, den = _parse_linear(text, ctx.dim, _DIVISOR_NAMES, atom, "a divisor name")
     return DivisorClass._of(ctx, tuple(num), den)

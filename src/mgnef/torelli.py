@@ -27,7 +27,6 @@ from .divisors import (
     GenusContext,
     _coeffs,
     _parse_linear,
-    _term_pattern,
     as_context,
     boundary_total,
     canonical_class,
@@ -139,12 +138,11 @@ class AbelianDivisor(Record):
 
 # nonzero coordinates of (a, b) in a*M - b*D, so D stores b = -1
 _BASIS = {"M": ((0, 1),), "D": ((1, -1),)}
-_ABELIAN_TERM = _term_pattern("M|D")
 
 
 def parse_abelian(text: str, model_name: str) -> AbelianDivisor:
     """Parse ``a*M - b*D`` (either term optional, rationals as p/q)."""
-    num, den = _parse_linear(text, 2, _ABELIAN_TERM, lambda name, pos: _BASIS[name],
+    num, den = _parse_linear(text, 2, "M|D", lambda name, pos: _BASIS[name],
                              "basis class M or D")
     # the model is checked by AbelianDivisor, which also refuses D at rank 1
     return AbelianDivisor(model_name, Fraction(num[0], den), Fraction(num[1], den))

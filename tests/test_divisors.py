@@ -244,6 +244,9 @@ def test_integer_form_is_canonical_and_viewed_as_fractions():
                 if want is not None:
                     assert x == want and hash(x) == hash(want) and x.coeffs() == want.coeffs()
             assert parse_divisor(d.to_expr(), g) == d
+    # other numbers are read through Fraction, exactly
+    d = DivisorClass(as_context(4), 0.5, ("1/3", 0, Fraction(-2, 4)))
+    assert (d.num, d.den) == ((3, 2, 0, -3), 6)
 
 
 # -- parsing ------------------------------------------------------------------
