@@ -32,7 +32,7 @@ DATA = Path(__file__).resolve().parent / "data"
 GENERA = [*range(3, 41), 60, 80, 120, 2, 121]
 
 # the queries at small genera, at the query-mix genera and up to the limit
-QUERY_GENERA = [3, 4, 7, 12, 24, 40, 60, 80, 120]
+QUERY_GENERA = [3, 4, 7, 11, 12, 24, 40, 60, 80, 120]
 # the zero class, both rays of the face and a point inside it, a class off
 # the face, K, an F-nef class with dense support, and a malformed expression
 CHECK_DIVISORS = ["0", "L", "-L", "12L-d0", "5/2*L + 1/3*12L-d0", "L - d7", "K", "11*L + K", "L +"]
