@@ -56,7 +56,7 @@ from .fcurves import (
     is_fnef,
     numerical_classes,
 )
-from .linalg import QMatrix, dot, primitive, primitive_oriented, vec
+from .linalg import QMatrix, dot, primitive, vec
 from .torelli import (
     MODELS,
     PARTIAL,

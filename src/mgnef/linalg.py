@@ -102,15 +102,6 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(_echelon(rows))
 
 
-def primitive_oriented(v: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Primitive form with the first nonzero entry made positive."""
-    p = primitive(v)
-    for a in p:
-        if a != 0:
-            return p if a > 0 else tuple(-x for x in p)
-    return p
-
-
 class QMatrix(Record):
     """Immutable rational matrix, row major."""
 
@@ -131,12 +122,6 @@ class QMatrix(Record):
                 raise ValueError("ragged rows")
             flat.extend(Fraction(x) for x in r)
         return cls(nrows, ncols, tuple(flat))
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls.from_rows(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.ncols + j]
@@ -191,8 +176,9 @@ class QMatrix(Record):
         if self.nrows != self.ncols:
             raise NonSquareError(f"{self.nrows}x{self.ncols} matrix has no inverse")
         n = self.nrows
-        eye = QMatrix.identity(n).rows()
-        basis = _echelon(clear_denominators(r + e) for r, e in zip(self.rows(), eye))
+        # each row followed by the unit matrix's row
+        basis = _echelon(clear_denominators(r + (0,) * i + (1,) + (0,) * (n - 1 - i))
+                         for i, r in enumerate(self.rows()))
         if any(c >= n for c in basis):
             raise ZeroDivisionError("matrix is singular")
         return QMatrix.from_rows(

@@ -247,41 +247,31 @@ class SemiampleStatus(Record):
         object.__setattr__(self, "reason", reason)
 
 
+# what the catalog knows at each place of the face; the 12*lambda - delta_0
+# ray reads so up to genus 11 and _RAY_BEYOND_GENUS_11 after it
+_SEMIAMPLE = {
+    FaceLocation.ORIGIN: ("semi-ample", "the zero class is trivially semi-ample"),
+    FaceLocation.RAY_LAMBDA: (
+        "semi-ample", "pullback of the ample generator under the map to the Satake model"),
+    FaceLocation.INTERIOR: (
+        "semi-ample", "pullback of an ample class under the map to the perfect cone model"),
+    FaceLocation.RAY_12LAMBDA_DELTA0: (
+        "semi-ample over the complex numbers",
+        "boundary ray of the pulled back nef cone, basepoint free in genus up to 11"),
+    FaceLocation.OUTSIDE: ("unknown", "outside the two-parameter face covered by this catalog"),
+}
+_RAY_BEYOND_GENUS_11 = (
+    "nef, semi-ampleness unknown",
+    "nef for every genus, but basepoint freeness beyond genus 11 is not settled by this catalog",
+)
+
+
 def semiample_status(d: DivisorClass) -> SemiampleStatus:
     """What the catalog knows about base loci of multiples of the class."""
     cls = classify_in_face(d)
-    g = d.ctx.g
-    loc = cls.location
-    if loc is FaceLocation.ORIGIN:
-        return SemiampleStatus(cls, "semi-ample", "the zero class is trivially semi-ample")
-    if loc is FaceLocation.RAY_LAMBDA:
-        return SemiampleStatus(
-            cls,
-            "semi-ample",
-            "pullback of the ample generator under the map to the Satake model",
-        )
-    if loc is FaceLocation.INTERIOR:
-        return SemiampleStatus(
-            cls,
-            "semi-ample",
-            "pullback of an ample class under the map to the perfect cone model",
-        )
-    if loc is FaceLocation.RAY_12LAMBDA_DELTA0:
-        if g <= 11:
-            return SemiampleStatus(
-                cls,
-                "semi-ample over the complex numbers",
-                "boundary ray of the pulled back nef cone, basepoint free in genus up to 11",
-            )
-        return SemiampleStatus(
-            cls,
-            "nef, semi-ampleness unknown",
-            "nef for every genus, but basepoint freeness beyond genus 11 "
-            "is not settled by this catalog",
-        )
-    return SemiampleStatus(
-        cls, "unknown", "outside the two-parameter face covered by this catalog"
-    )
+    if cls.location is FaceLocation.RAY_12LAMBDA_DELTA0 and d.ctx.g > 11:
+        return SemiampleStatus(cls, *_RAY_BEYOND_GENUS_11)
+    return SemiampleStatus(cls, *_SEMIAMPLE[cls.location])
 
 
 # -- scan of mD - (K + Delta) over a parameter grid ----------------------------
@@ -304,16 +294,16 @@ class BpfEntry(Record):
 
 
 class BpfReport(Record):
-    _fields = ("genus", "entries", "symbolic_ok")
+    """The scan's grid size and its entries whose C3 values are not all -1."""
 
-    def __init__(self, genus: int, entries: tuple[BpfEntry, ...], symbolic_ok: bool):
+    _fields = ("genus", "points", "deviations", "symbolic_ok")
+
+    def __init__(self, genus: int, points: int, deviations: tuple[BpfEntry, ...],
+                 symbolic_ok: bool):
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "deviations", deviations)
         object.__setattr__(self, "symbolic_ok", symbolic_ok)
-
-    @cached_property
-    def deviations(self) -> list[BpfEntry]:
-        return [e for e in self.entries if not e.ok]
 
     @property
     def ok(self) -> bool:
@@ -322,7 +312,7 @@ class BpfReport(Record):
     def to_json_dict(self) -> dict:
         return {
             "genus": self.genus,
-            "entries": len(self.entries),
+            "entries": self.points,
             "symbolic_delta_check": self.symbolic_ok,
             "all_c3_equal_minus_one": not self.deviations,
             "deviations": [
@@ -343,7 +333,8 @@ def bpf_scan(ctx, m_values: Sequence[int], alphas: Sequence, betas: Sequence) ->
     D_{alpha,beta} lives on the face, so the subtraction leaves every
     delta_i coefficient (i >= 1) equal to -1 no matter what m is; each C3
     value should therefore be exactly -1.  The symbolic flag records that
-    coefficient identity, the entries record the numeric scan.
+    coefficient identity; the report counts the grid points and keeps, in
+    scan order, only the entries with some other value.
     """
     ctx = as_context(ctx)
     g = ctx.g
@@ -351,7 +342,7 @@ def bpf_scan(ctx, m_values: Sequence[int], alphas: Sequence, betas: Sequence) ->
     c3_curves = [FCurve(ctx, "C3", (i,)) for i in range(1, g - 1)]
 
     symbolic_ok = all(x == 1 for x in adjoint.b[1:])
-    entries = []
+    points, deviations = 0, []
     for alpha in alphas:
         for beta in betas:
             member = face_member(ctx, alpha, beta)
@@ -360,5 +351,7 @@ def bpf_scan(ctx, m_values: Sequence[int], alphas: Sequence, betas: Sequence) ->
             for m in m_values:
                 dv = member.scale(m) - adjoint
                 vals = tuple(intersect(dv, c) for c in c3_curves)
-                entries.append(BpfEntry(int(m), Fraction(alpha), Fraction(beta), dv, vals))
-    return BpfReport(g, tuple(entries), symbolic_ok)
+                points += 1
+                if any(v != -1 for v in vals):
+                    deviations.append(BpfEntry(int(m), Fraction(alpha), Fraction(beta), dv, vals))
+    return BpfReport(g, points, tuple(deviations), symbolic_ok)

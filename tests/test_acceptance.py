@@ -187,7 +187,7 @@ def test_criterion_5_adjoint_scan(capsys):
             for i in range(1, as_context(g).dim - 1)
         )
         if not (report.ok and report.symbolic_ok and symbolic
-                and len(report.entries) == 125):
+                and report.points == 125):
             failures.append(g)
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 10.0

@@ -87,8 +87,8 @@ CASES = {
         SemiampleStatus(FaceClassification(FaceLocation.ORIGIN), "semi-ample", "zero")),
     "BpfEntry": (ENTRY, ("m", "alpha", "beta", "divisor", "c3_values"),
                  BpfEntry(3, Fraction(1), Fraction(1, 2), D4, (Fraction(-1), Fraction(-1)))),
-    "BpfReport": (BpfReport(4, (ENTRY,), True), ("genus", "entries", "symbolic_ok"),
-                  BpfReport(4, (), True)),
+    "BpfReport": (BpfReport(4, 2, (ENTRY,), True),
+                  ("genus", "points", "deviations", "symbolic_ok"), BpfReport(4, 2, (), True)),
 }
 
 # pinned from the dataclass implementation these classes replaced
@@ -121,7 +121,7 @@ REPRS = {
                         "location=<FaceLocation.ORIGIN: 'origin'>, alpha=Fraction(0, 1), "
                         "beta=Fraction(0, 1), epsilon=None), status='semi-ample', reason='zero')"),
     "BpfEntry": ENTRY_REPR,
-    "BpfReport": f"BpfReport(genus=4, entries=({ENTRY_REPR},), symbolic_ok=True)",
+    "BpfReport": f"BpfReport(genus=4, points=2, deviations=({ENTRY_REPR},), symbolic_ok=True)",
 }
 
 params = pytest.mark.parametrize("name", sorted(CASES))
@@ -211,13 +211,12 @@ def test_pickle_and_copies_round_trip(name):
             setattr(y, fields[0], None)
 
 
-def test_cached_deviations_survive_copies():
+def test_bpf_deviations_survive_copies():
     bad = BpfEntry(1, Fraction(0), Fraction(0), D4, (Fraction(-1), Fraction(0)))
-    report = BpfReport(4, (ENTRY, bad), True)
-    assert report.deviations == [bad] and report.deviations is report.deviations
+    report = BpfReport(4, 2, (bad,), True)
     assert not report.ok
     for y in (pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)):
-        assert y == report and y.deviations == [bad]
+        assert y == report and y.deviations == (bad,) and not y.ok
 
 
 @params

@@ -21,9 +21,12 @@ from mgnef import (
     PolyCone,
     QMatrix,
     UnsupportedGenusError,
+    BpfEntry,
     as_context,
     basis_images,
+    boundary_total,
     bpf_scan,
+    canonical_class,
     classify_in_face,
     delta,
     extreme_rays,
@@ -39,6 +42,7 @@ from mgnef import (
     twelve_lambda_minus_delta0,
     zero_divisor,
 )
+from mgnef import torelli
 from helpers import full_scale, full_sub, rand_fraction, rand_nonneg_fraction
 
 # -- the catalog ----------------------------------------------------------------
@@ -381,19 +385,47 @@ def test_semiample_catalog():
 def test_bpf_scan_full_grid():
     report = bpf_scan(5, range(1, 6), range(5), range(5))
     assert report.genus == 5
-    assert len(report.entries) == 125
-    assert report.symbolic_ok and report.ok and not report.deviations
-    assert all(e.c3_values == (-1, -1, -1) for e in report.entries)
+    assert report.points == 125
+    assert report.symbolic_ok and report.ok and report.deviations == ()
 
 
 def test_bpf_scan_base_entry_and_m_independence():
+    # the base point m = 1, alpha = beta = 0 is -(K + Delta), and it meets
+    # every C3 in -1
+    ctx = as_context(5)
+    c3_curves = [FCurve(ctx, "C3", (i,)) for i in (1, 2, 3)]
+    adjoint = canonical_class(ctx) + boundary_total(ctx)
+    base = face_member(ctx, 0, 0).scale(1) - adjoint
+    assert base == from_coeffs(5, [-13, -1, -1, -1])
+    assert [intersect(base, c) for c in c3_curves] == [-1, -1, -1]
+    # so does every multiple at every grid point: no m changes a C3 value
+    for alpha, beta in ((0, 0), (2, 0), (0, 1), (2, 1)):
+        member = face_member(ctx, alpha, beta)
+        values = {tuple(intersect(member.scale(m) - adjoint, c) for c in c3_curves)
+                  for m in (1, 2, 3)}
+        assert values == {(-1, -1, -1)}
     report = bpf_scan(5, [1, 2, 3], [0, 2], [0, 1])
-    base = next(e for e in report.entries if (e.m, e.alpha, e.beta) == (1, 0, 0))
-    assert base.divisor == from_coeffs(5, [-13, -1, -1, -1])
-    by_grid_point = {}
-    for e in report.entries:
-        by_grid_point.setdefault((e.alpha, e.beta), set()).add(e.c3_values)
-    assert all(len(vals) == 1 for vals in by_grid_point.values())
+    assert report.points == 12 and report.deviations == () and report.ok
+
+
+def test_bpf_scan_keeps_the_deviations_and_nothing_else(monkeypatch):
+    # one grid point, m = 2 at alpha = 1, beta = 0, is made to meet C3(2) in 0
+    target = face_member(5, 1, 0).scale(2) - (canonical_class(5) + boundary_total(5))
+
+    def forced(d, curve):
+        value = intersect(d, curve)
+        return value + 1 if d == target and curve.indices == (2,) else value
+
+    monkeypatch.setattr(torelli, "intersect", forced)
+    report = bpf_scan(5, [1, 2, 3], [0, 1], [0, 1])
+    assert report.points == 12
+    assert report.deviations == (BpfEntry(2, Fraction(1), Fraction(0), target, (-1, 0, -1)),)
+    assert report.symbolic_ok and not report.ok
+    payload = report.to_json_dict()
+    assert payload["entries"] == 12 and payload["all_c3_equal_minus_one"] is False
+    assert payload["deviations"] == [
+        {"m": 2, "alpha": "1", "beta": "0", "c3_values": ["-1", "0", "-1"]}
+    ]
 
 
 def test_bpf_scan_json():
