@@ -102,9 +102,11 @@ def _emit(payload: dict, human: str, args) -> None:
 _BPF_MAX_EVALUATIONS = 100_000
 _BPF_MAX_ROW_ENTRIES = _BPF_MAX_EVALUATIONS * 503
 
-# fcurves, check, certify and pullback build the class table, which grows
-# about as g^3; at the cap the slowest, fcurves --format json, ran in 3.6 s
-# and 126 MB of memory, certify in 0.2 s and 33 MB (2 vCPUs, Python 3.11)
+# fcurves builds the class table, which grows about as g^3, and so does check
+# for a divisor off the plane of a and b_0.  certify and pullback build none,
+# but certify's active set grows as fast, and all four share the cap.  At the
+# cap fcurves --format json ran in 1.1 s and 123 MB of memory, check of L - d7
+# in 0.07 s and 27 MB, certify in 0.05 s and 22 MB (2 vCPUs, Python 3.11)
 _TABLE_MAX_GENUS = 120
 
 
@@ -367,8 +369,8 @@ def main(argv=None) -> int:
     if args.command == "bpf" and (args.m_max < 1 or args.alpha_max < 0 or args.beta_max < 0):
         parser.error("empty bpf grid: need --m-max >= 1, --alpha-max >= 0 and --beta-max >= 0")
     try:
-        builds_table = args.command in ("fcurves", "check", "certify", "pullback")
-        if builds_table and args.genus > _TABLE_MAX_GENUS:
+        capped = args.command in ("fcurves", "check", "certify", "pullback")
+        if capped and args.genus > _TABLE_MAX_GENUS:
             raise UnsupportedGenusError(
                 f"genus {args.genus} exceeds the class table limit {_TABLE_MAX_GENUS}"
             )

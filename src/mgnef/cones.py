@@ -29,7 +29,7 @@ from .errors import (
     NotMemberError,
     NotPointedError,
 )
-from .fcurves import _support_pairings, _table, _witness_values, is_fnef, numerical_classes
+from .fcurves import _class_index, _witness_values, is_fnef, numerical_classes
 from .linalg import (
     QMatrix,
     _divide_gcd,
@@ -93,7 +93,7 @@ class PolyCone(Record):
         if self.ineq_rows:
             return all(sum(map(mul, r, x)) >= 0 for r in self.ineq_rows)
         if self.generators is not None:
-            return nonneg_combination(self.generators, x) is not None
+            return _phase1(self.generators, x) is not None
         raise ValueError("cone has neither inequalities nor generators")
 
 
@@ -137,6 +137,24 @@ def nonneg_combination(
     columns are priced and ratios compared in ints, and values are read
     over the row's basic entry.  Raises ValueError on a column of the
     wrong length."""
+    solved = _phase1(columns, target)
+    if solved is None:
+        return None
+    tableau, basis = solved
+    n = len(columns)
+    x = [Fraction(0)] * n
+    for row, b in zip(tableau, basis):
+        if b < n:
+            x[b] = Fraction(row[-1], row[b])
+    return x
+
+
+def _phase1(
+    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+) -> tuple[list[list[int]], list[int]] | None:
+    """The final tableau and basis of ``nonneg_combination``'s phase 1, or
+    None when the system is infeasible; feasibility alone needs no
+    solution read off them."""
     m, n = len(target), len(columns)
     for col in columns:
         if len(col) != m:
@@ -193,11 +211,7 @@ def nonneg_combination(
         basis[pivot_row] = entering
     if any(row[-1] for row, b in zip(tableau, basis) if b >= n):
         return None
-    x = [Fraction(0)] * n
-    for row, b in zip(tableau, basis):
-        if b < n:
-            x[b] = Fraction(row[-1], row[b])
-    return x
+    return tableau, basis
 
 
 # -- extreme rays (double description) ---------------------------------------
@@ -402,14 +416,22 @@ def face_certificate(
     Runs the checks in order: F-nefness of both generators, the vanishing
     pattern on the witness curves {C1, C2, C3(1), ...}, and invertibility
     of the pairing matrix.  Raises CertificateFailure on the first violated
-    one.  The active set is then every class that the support scan of
-    gen1 + gen2 does not yield with a nonzero value.
+    one.
 
-    Once they pass, the common active set has rank d - 2 and needs no rank
-    computation: each generator meets only its own witness curve, so the
-    two are independent and the active rows, which vanish on both, have
-    rank at most d - 2; the witness rows C3(1..d-2) are independent and
-    active, so the rank is exactly d - 2.
+    Once they pass, the active set needs no pairing.  The vanishing checks
+    give both generators b_i = 0 for i >= 1, gen1 b_0 = 0 and gen2
+    a = 12 b_0, and F-nefness makes gen1's C1 value and gen2's C2 value,
+    both nonzero, positive: gen1 is a*lambda and gen2 is
+    b*(12*lambda - delta_0) with a, b > 0.  Their sum meets C1 in a/12, C2
+    in b, every C4 in 2b and every other class in 0, as the C3, C5 and C6
+    rows are zero on a and b_0.  Both generators being F-nef, a curve meets
+    both in 0 exactly when it meets their sum in 0, so the active set is
+    the representative of every C3, C5 and C6 class, in table order.
+
+    Nor does its rank need a computation: each generator meets only its own
+    witness curve, so the two are independent and the active rows, which
+    vanish on both, have rank at most d - 2; the witness rows C3(1..d-2)
+    are independent and active, so the rank is exactly d - 2.
     """
     ctx = as_context(g)
     d = ctx.dim
@@ -438,10 +460,11 @@ def face_certificate(
         if not c.ok:
             raise CertificateFailure(c.name, c.detail)
 
-    # both generators are F-nef, so a curve is active, meeting both in 0,
-    # exactly when it meets their sum in 0; the rank is d - 2 (see above)
-    paired = {k for k, v in _support_pairings(combined) if v}
-    active = tuple(tags[0] for k, tags in enumerate(_table(ctx).tags) if k not in paired)
+    # the generators are positive multiples of lambda and 12*lambda - delta_0,
+    # so the active classes are the C3, C5 and C6 classes (see above), and
+    # the rank is d - 2
+    keys, tags = _class_index(ctx.g)
+    active = tuple(t[0] for (fam, _), t in zip(keys, tags) if fam in ("C3", "C5", "C6"))
     active_rank = d - 2
     checks.append(Check("face:active-rank", True, f"rank {active_rank}, expected {d - 2}"))
     return FaceCertificate(

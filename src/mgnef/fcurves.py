@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, groupby, repeat
+from itertools import compress, repeat
 from math import gcd
 from operator import itemgetter, mul
 
@@ -250,23 +250,47 @@ class _Table(Record):
 
 
 @lru_cache(maxsize=None)
+def _class_index(g: int) -> tuple[tuple[tuple[str, tuple[int, ...]], ...],
+                                  tuple[tuple[str, ...], ...]]:
+    """Each class's representative key, (family, indices), and its member
+    tags, representative first, as two columns in table order.
+
+    Two curves have equal ``_class_terms`` rows exactly by these index
+    rules, read off FORMULAS: C3(i) joins C3(g-i), as b_i is b_{g-i};
+    C4(i) joins C4(g-2-i), as b_{i+1} is b_{g-1-i}; C5(i, j) joins the C3
+    class of its other subscript when g-i-j is i or j, as b_{i+j} is then
+    b_i or b_j and cancels it.  C1, C2 and C6 never merge: C1 alone has a
+    nonzero a, C2 and C4 alone a nonzero b_0 (1 and 2), and the tests check
+    that no other rows coincide against hashing every row, at every
+    g = 3..120, 160 and 240.  Members come in sort-key order, so each
+    class's first member has its smallest key, and classes come in the
+    order of their representatives.
+    """
+    # classes at positions 0, 1 (C1, C2), 1 + s (C3(s), s = 1..g//2), then
+    # 2 + g//2 + i (C4(i), i <= g-2-i); a curve that joins one appends its tag
+    h = g // 2
+    keys, members = [], []
+    for fam, idx in _raw_indices(g):
+        tag = _tag_format(fam) % idx
+        if fam == "C3" and idx[0] > h:
+            members[1 + g - idx[0]] += (tag,)
+        elif fam == "C4" and idx[0] >= h:
+            members[h + g - idx[0]] += (tag,)
+        elif fam == "C5" and g - idx[0] - idx[1] in idx:
+            r = 2 * (idx[0] + idx[1]) - g  # i + j - (g-i-j): the one not cancelled
+            members[1 + min(r, g - r)] += (tag,)
+        else:
+            keys.append((fam, idx))
+            members.append((tag,))
+    return tuple(keys), tuple(members)
+
+
+@lru_cache(maxsize=None)
 def _table(ctx: GenusContext) -> _Table:
-    # curves come in sort-key order, so each group's first member is its
-    # representative and the groups are in the order of their representatives.
-    # C1 alone has a nonzero a and C2..C6 share the factor 12, so grouping on
-    # family-reduced rows gives the groups of 12 * (D . C), and the rows are
-    # primitive already (see _class_terms)
+    # the rows are primitive already (see _class_terms)
     g, slots = ctx.g, _slots(ctx.g)
-    groups: dict[tuple[int, ...], list[str]] = {}
-    keys = []
-    for fam, curves in groupby(_raw_indices(g), itemgetter(0)):
-        terms, tag = _class_terms(fam), _tag_format(fam)
-        for key in curves:
-            tags = groups.setdefault(_row(terms, key[1], g, slots), [])
-            if not tags:
-                keys.append(key)
-            tags.append(tag % key[1])
-    return _Table(tuple(groups), tuple(keys), tuple(map(tuple, groups.values())))
+    keys, tags = _class_index(g)
+    return _Table(tuple(_row(_class_terms(fam), idx, g, slots) for fam, idx in keys), keys, tags)
 
 
 class FCurveClass(Record):
@@ -338,9 +362,19 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     """Nonnegativity against every F-curve.
 
     Returns (True, None) or (False, witness) where the witness is the
-    violated curve with the smallest (family, indices) key.  A class that
+    violated curve with the smallest (family, indices) key.  A divisor
+    supported on a and b_0 meets C1 in (a - 12 b_0)/12, C2 in b_0, every
+    C4 in 2 b_0 and every other class in 0, so its verdict and witness are
+    read off a - 12 b_0 and b_0, with no class table.  Otherwise a class that
     ``_support_pairings`` does not yield pairs to 0 and is never a witness.
     """
+    num = d.num
+    if not any(num[2:]):
+        if num[0] < 12 * num[1]:
+            return False, FCurve(d.ctx, "C1")
+        if num[1] < 0:
+            return False, FCurve(d.ctx, "C2")
+        return True, None
     for k, value in _support_pairings(d):
         if value < 0:
             return False, FCurve(d.ctx, *_table(d.ctx).keys[k])

@@ -277,6 +277,11 @@ def semiample_status(d: DivisorClass) -> SemiampleStatus:
 # -- scan of mD - (K + Delta) over a parameter grid ----------------------------
 
 
+def _deviates(c3_values) -> bool:
+    """Whether some C3 value of a scanned grid point differs from -1."""
+    return any(v != -1 for v in c3_values)
+
+
 class BpfEntry(Record):
     _fields = ("m", "alpha", "beta", "divisor", "c3_values")
 
@@ -290,7 +295,7 @@ class BpfEntry(Record):
 
     @property
     def ok(self) -> bool:
-        return all(v == -1 for v in self.c3_values)
+        return not _deviates(self.c3_values)
 
 
 class BpfReport(Record):
@@ -352,6 +357,6 @@ def bpf_scan(ctx, m_values: Sequence[int], alphas: Sequence, betas: Sequence) ->
                 dv = member.scale(m) - adjoint
                 vals = tuple(intersect(dv, c) for c in c3_curves)
                 points += 1
-                if any(v != -1 for v in vals):
+                if _deviates(vals):
                     deviations.append(BpfEntry(int(m), Fraction(alpha), Fraction(beta), dv, vals))
     return BpfReport(g, points, tuple(deviations), symbolic_ok)

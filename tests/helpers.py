@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from mgnef import (
@@ -31,7 +32,18 @@ from mgnef import (
     twelve_lambda_minus_delta0,
 )
 from mgnef.cones import Check
-from mgnef.fcurves import _on_support, _raw_indices, _row12, _table, _tag
+from mgnef.fcurves import (
+    _Table,
+    _class_terms,
+    _on_support,
+    _raw_indices,
+    _row,
+    _row12,
+    _slots,
+    _table,
+    _tag,
+    _tag_format,
+)
 from mgnef.linalg import clear_denominators, integer_rank
 
 
@@ -274,6 +286,38 @@ def dense_classes(ctx) -> tuple[FCurveClass, ...]:
             tuple(_tag(fam, idx) for fam, idx in members),
         ))
     return tuple(records)
+
+
+# The reference for the index rules of mgnef.fcurves._table: every curve's
+# family-reduced row hashed, and the curves grouped on equal rows.  The rules
+# must give the same rows, representative keys and member tags, in order.
+def hashed_table(ctx) -> _Table:
+    # curves come in sort-key order, so each group's first member is its
+    # representative and the groups are in the order of their representatives.
+    # C1 alone has a nonzero a and C2..C6 share the factor 12, so grouping on
+    # family-reduced rows gives the groups of 12 * (D . C)
+    g, slots = ctx.g, _slots(ctx.g)
+    groups: dict[tuple[int, ...], list[str]] = {}
+    keys = []
+    for fam, curves in groupby(_raw_indices(g), itemgetter(0)):
+        terms, tag = _class_terms(fam), _tag_format(fam)
+        for key in curves:
+            tags = groups.setdefault(_row(terms, key[1], g, slots), [])
+            if not tags:
+                keys.append(key)
+            tags.append(tag % key[1])
+    return _Table(tuple(groups), tuple(keys), tuple(map(tuple, groups.values())))
+
+
+# The reference for the active set of mgnef.verify_extremal_face: the classes
+# of the hashed table whose rows, paired with lambda + (12*lambda - delta_0)
+# on its support, give 0.
+def hashed_active_curves(g) -> tuple[str, ...]:
+    ctx = as_context(g)
+    table = hashed_table(ctx)
+    _, pick, xs = _on_support((lambda_class(ctx) + twelve_lambda_minus_delta0(ctx)).num)
+    return tuple(tags[0] for row, tags in zip(table.rows, table.tags)
+                 if not sum(map(mul, pick(row), xs)))
 
 
 # The reference for the expression parser: the character scanner that the

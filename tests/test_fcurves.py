@@ -1,15 +1,17 @@
 """F-curve enumeration and intersection formulas."""
 
+import hashlib
 import itertools
 import operator
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgnef import fcurves
+from mgnef import cones, fcurves
 from mgnef import (
     FCurve,
     GenusMismatchError,
@@ -38,6 +40,8 @@ from helpers import (
     full_row_is_fnef,
     full_scan_is_fnef,
     full_support_pairings,
+    hashed_active_curves,
+    hashed_table,
     rand_divisor,
     rand_fraction,
 )
@@ -348,7 +352,8 @@ def test_support_scan_stops_after_the_last_class_meeting_the_support():
     for g in [*range(3, 41), 80, 120]:
         for d in _bounded_scan_divisors(g):
             assert list(fcurves._support_pairings(d)) == full_support_pairings(d), (g, d.coeffs())
-    # a face divisor tests 42 of the 881 class rows at genus 40
+    # the scan of a divisor supported on {a, b_0} would test 42 of the 881
+    # class rows at genus 40 (is_fnef answers those without the table)
     ctx = as_context(40)
     assert (len(_table(ctx).rows), fcurves._extent(ctx, 0), fcurves._extent(ctx, 1)) == (881, 1, 42)
 
@@ -369,6 +374,22 @@ def divisors_on_supports(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(divisors_on_supports())
 def test_is_fnef_property_matches_full_scan(d):
+    assert is_fnef(d) == full_scan_is_fnef(d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 40), st.fractions(min_value=-30, max_value=30, max_denominator=5),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5))
+@example(12, 0, 0)  # the zero divisor
+@example(12, Fraction(23, 2), 1)  # a - 12 b_0 < 0 < b_0: witness C1
+@example(12, Fraction(-25, 3), Fraction(-3, 4))  # a - 12 b_0 > 0 > b_0: witness C2
+@example(12, Fraction(-9), Fraction(-3, 4))  # a - 12 b_0 = 0 > b_0: witness C2
+@example(3, -5, Fraction(-1, 3))  # a - 12 b_0 < 0 and b_0 < 0: witness C1
+@example(40, Fraction(18, 5), Fraction(3, 10))  # a - 12 b_0 = 0 < b_0: F-nef
+def test_is_fnef_on_the_plane_of_a_and_b0_matches_full_scan(g, a, b0):
+    """A divisor supported on a and b_0, whose verdict is read off
+    a - 12 b_0 and b_0, gets the full scan's verdict and witness."""
+    d = from_coeffs(g, [a, b0] + [0] * (as_context(g).dim - 2))
     assert is_fnef(d) == full_scan_is_fnef(d)
 
 
@@ -432,8 +453,9 @@ def test_class_objects_share_the_table_tuples():
 
 
 def test_certificate_builds_no_class_objects(monkeypatch):
-    """verify_extremal_face at a genus not yet built builds the integer table
-    once and no FCurveClass; the F-nef generators need no witness FCurve."""
+    """verify_extremal_face at a genus not yet built builds neither the
+    integer table nor an FCurveClass; the F-nef generators need no witness
+    FCurve."""
     built = []
     post_init = fcurves.FCurve.__post_init__
     monkeypatch.setattr(fcurves.FCurve, "__post_init__", lambda c: built.append(c) or post_init(c))
@@ -441,13 +463,51 @@ def test_certificate_builds_no_class_objects(monkeypatch):
     table, classes = _table.cache_info(), _classes_cached.cache_info()
     cert = verify_extremal_face(g)
     assert cert.active_rank == as_context(g).dim - 2
-    assert _table.cache_info().misses == table.misses + 1
+    assert _table.cache_info() == table
     assert _classes_cached.cache_info().misses == classes.misses
     assert built == []
-    # a failing query builds exactly its witness, from the table's key
+    # a failing query on the plane of a and b_0 builds its witness and no table
+    ok, witness = is_fnef(from_coeffs(g, [1, 1] + [0] * (as_context(g).dim - 2)))
+    assert not ok and built == [witness] and witness.tag == "C1"
+    assert _table.cache_info() == table
+    # one off the plane builds the table once and its witness from a table key
     ok, witness = is_fnef(from_coeffs(g, [1] + [0] * (as_context(g).dim - 2) + [-1]))
-    assert not ok and built == [witness]
+    assert not ok and built[1:] == [witness]
     assert _table.cache_info().misses == table.misses + 1
+
+
+def _keys_tags_and_row_digest(table):
+    """The table's keys and tags and a SHA-256 digest of its rows, which
+    are all of one length: two tables at genus 240 would hold over 300 MB."""
+    digest = hashlib.sha256()
+    for row in table.rows:
+        digest.update(array("q", row).tobytes())
+    return table.keys, table.tags, digest.digest()
+
+
+def test_class_table_matches_hashed_reference(monkeypatch):
+    """The index rules give the rows, representative keys and member tags,
+    in order, of grouping every curve on its hashed family-reduced row."""
+    # uncached builds, so the test keeps no table of its own alive
+    monkeypatch.setattr(fcurves, "_class_index", fcurves._class_index.__wrapped__)
+    for g in [*range(3, 121), 160, 240]:
+        ctx = as_context(g)
+        # outside the assert, which would keep the table alive for its report
+        rules = _keys_tags_and_row_digest(_table.__wrapped__(ctx))
+        assert rules == _keys_tags_and_row_digest(hashed_table(ctx)), g
+
+
+def test_certificate_active_set_matches_hashed_reference(monkeypatch):
+    """The active set read off the index rules is the set of classes that
+    lambda + (12*lambda - delta_0) meets in 0, and no class table is built."""
+    def fail(ctx):
+        raise AssertionError(f"class table built at genus {ctx.g}")
+
+    monkeypatch.setattr(fcurves, "_table", fail)
+    # uncached, so the test keeps no class index of its own alive
+    monkeypatch.setattr(cones, "_class_index", fcurves._class_index.__wrapped__)
+    for g in [*range(3, 121), 240]:
+        assert verify_extremal_face(g).active_curves == hashed_active_curves(g), g
 
 
 # -- the integer class table against a Fraction reference -------------------------
