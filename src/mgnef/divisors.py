@@ -73,7 +73,6 @@ class GenusContext(Record):
 
 
 def as_context(g: Union[int, GenusContext]) -> GenusContext:
-    # one context per genus, which the per-genus caches then find by identity
     return g if isinstance(g, GenusContext) else _context(index(g))
 
 
@@ -338,9 +337,9 @@ _DIVISOR_NAMES = "|".join(map(re.escape, _SHORTHANDS)) + r"|d\d*"
 
 
 @lru_cache(maxsize=None)
-def _coeffs(make, ctx: GenusContext, *args) -> tuple[tuple[int, int], ...]:
+def _coeffs(make, g: int, *args) -> tuple[tuple[int, int], ...]:
     """Nonzero integer coordinates (index, value) of a named class, built once per genus."""
-    return tuple((i, x) for i, x in enumerate(make(ctx, *args).num) if x)
+    return tuple((i, x) for i, x in enumerate(make(g, *args).num) if x)
 
 
 def parse_divisor(text: str, ctx) -> DivisorClass:
@@ -350,7 +349,7 @@ def parse_divisor(text: str, ctx) -> DivisorClass:
     def atom(name, pos):
         if name[0] == "d":
             return ((1 + reflect_index(_read_int(name[1:], pos + 1), ctx.g), -1),)
-        return _coeffs(_SHORTHANDS[name], ctx)
+        return _coeffs(_SHORTHANDS[name], ctx.g)
 
     num, den = _parse_linear(text, ctx.dim, _DIVISOR_NAMES, atom, "a divisor name")
     return DivisorClass._of(ctx, tuple(num), den)

@@ -190,10 +190,10 @@ def intersection_vector(c: FCurve) -> Vec:
 
 
 @lru_cache(maxsize=None)
-def _witness_rows(ctx: GenusContext) -> tuple[tuple[int, ...], ...]:
+def _witness_rows(g: int) -> tuple[tuple[int, ...], ...]:
     """12 * (D . C) for the witness curves {C1, C2, C3(1), ..., C3(d-2)}."""
-    curves = [("C1", ()), ("C2", ())] + [("C3", (i,)) for i in range(1, ctx.dim - 1)]
-    return tuple(_row12(fam, idx, ctx.g) for fam, idx in curves)
+    curves = [("C1", ()), ("C2", ())] + [("C3", (i,)) for i in range(1, g // 2 + 1)]
+    return tuple(_row12(fam, idx, g) for fam, idx in curves)
 
 
 def _witness_values(d: DivisorClass, ctx: GenusContext) -> list[Fraction]:
@@ -201,7 +201,7 @@ def _witness_values(d: DivisorClass, ctx: GenusContext) -> list[Fraction]:
     paired with d's numerators on its support, over 12 * d.den; every zero is one object."""
     _same_genus(d, ctx)
     _, pick, xs = _on_support(d.num)
-    vals = [sum(map(mul, pick(row), xs)) for row in _witness_rows(ctx)]
+    vals = [sum(map(mul, pick(row), xs)) for row in _witness_rows(ctx.g)]
     return [Fraction(v, 12 * d.den) if v else _ZERO for v in vals]
 
 
@@ -249,7 +249,6 @@ class _Table(Record):
         object.__setattr__(self, "tags", tags)
 
 
-@lru_cache(maxsize=None)
 def _class_index(g: int) -> tuple[tuple[tuple[str, tuple[int, ...]], ...],
                                   tuple[tuple[str, ...], ...]]:
     """Each class's representative key, (family, indices), and its member
@@ -286,9 +285,9 @@ def _class_index(g: int) -> tuple[tuple[tuple[str, tuple[int, ...]], ...],
 
 
 @lru_cache(maxsize=None)
-def _table(ctx: GenusContext) -> _Table:
+def _table(g: int) -> _Table:
     # the rows are primitive already (see _class_terms)
-    g, slots = ctx.g, _slots(ctx.g)
+    slots = _slots(g)
     keys, tags = _class_index(g)
     return _Table(tuple(_row(_class_terms(fam), idx, g, slots) for fam, idx in keys), keys, tags)
 
@@ -309,22 +308,18 @@ class FCurveClass(Record):
         return intersection_vector(self.curve)
 
 
-@lru_cache(maxsize=None)
-def _classes_cached(ctx: GenusContext) -> tuple[FCurveClass, ...]:
-    """The class table as objects, sharing the table's tuples."""
-    t = _table(ctx)
-    return tuple(FCurveClass(FCurve(ctx, *key), row, tags)
-                 for key, row, tags in zip(t.keys, t.rows, t.tags))
-
-
 def numerical_classes(g) -> list[FCurveClass]:
     """Curves grouped by intersection vector, one representative per class.
 
     The representative is the curve whose (family, indices) key is smallest,
     so C4(0) represents the g = 3 class {C4(0), C4(1)}; a genus below 3
-    raises UnsupportedGenusError from the genus context.
+    raises UnsupportedGenusError from the genus context.  The objects are
+    built on each call and share the cached table's tuples.
     """
-    return list(_classes_cached(as_context(g)))
+    ctx = as_context(g)
+    t = _table(ctx.g)
+    return [FCurveClass(FCurve(ctx, *key), row, tags)
+            for key, row, tags in zip(t.keys, t.rows, t.tags)]
 
 
 def enumerate_fcurves(g) -> list[FCurve]:
@@ -341,19 +336,20 @@ def _support_pairings(d: DivisorClass):
     support, pick, xs = _on_support(d.num)
     if not support:
         return
-    rows = _table(d.ctx).rows
+    g = d.ctx.g
+    rows = _table(g).rows
     # no class after the last one that meets a support coordinate meets d
-    stop = max(map(_extent, repeat(d.ctx), support))
+    stop = max(map(_extent, repeat(g), support))
     for k in compress(range(stop), map(any, map(pick, rows))):
         yield k, sum(map(mul, pick(rows[k]), xs))
 
 
 @lru_cache(maxsize=None)
-def _extent(ctx: GenusContext, k: int) -> int:
+def _extent(g: int, k: int) -> int:
     """1 + the last table position whose row is nonzero at coordinate k, 0
     if none is, found scanning the rows from the table's end; built per
     coordinate on first use, since a support touches few of them."""
-    rows = _table(ctx).rows
+    rows = _table(g).rows
     rows_after = next(compress(range(len(rows)), map(itemgetter(k), reversed(rows))), len(rows))
     return len(rows) - rows_after
 
@@ -377,5 +373,5 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
         return True, None
     for k, value in _support_pairings(d):
         if value < 0:
-            return False, FCurve(d.ctx, *_table(d.ctx).keys[k])
+            return False, FCurve(d.ctx, *_table(d.ctx.g).keys[k])
     return True, None

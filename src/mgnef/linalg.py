@@ -159,7 +159,7 @@ class QMatrix(Record):
             result *= m[c][c]
             for i in range(c + 1, self.nrows):
                 if m[i][c] != 0:
-                    f = m[i][c] / m[c][c]
+                    f = Fraction(m[i][c], m[c][c])  # exact for int entries too
                     m[i] = [x - f * y for x, y in zip(m[i], m[c])]
         return result
 

@@ -24,7 +24,6 @@ from ._record import Record
 from .cones import PolyCone, extreme_rays
 from .divisors import (
     DivisorClass,
-    GenusContext,
     _coeffs,
     _parse_linear,
     as_context,
@@ -175,7 +174,7 @@ def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> Divisor
     den, v = lcm(adiv.a.denominator, adiv.b.denominator), [0] * ctx.dim
     for c, (make, *args) in zip((adiv.a, -adiv.b), _images(model)):
         c = c.numerator * (den // c.denominator)
-        for i, x in _coeffs(make, ctx, *args):
+        for i, x in _coeffs(make, ctx.g, *args):
             v[i] += c * x
     return DivisorClass._of(ctx, tuple(v), den)
 
@@ -183,16 +182,16 @@ def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> Divisor
 def pullback_nef_cone(model: CompactificationModel, ctx) -> PolyCone:
     """V-rep image of the model's nef cone in divisor coordinates, built
     once per model and genus."""
-    return _pullback_nef_cone_cached(model, as_context(ctx))
+    return _pullback_nef_cone_cached(model, as_context(ctx).g)
 
 
 @lru_cache(maxsize=None)
-def _pullback_nef_cone_cached(model: CompactificationModel, ctx: GenusContext) -> PolyCone:
-    # both keys are frozen and the cone is immutable; a model without a
+def _pullback_nef_cone_cached(model: CompactificationModel, g: int) -> PolyCone:
+    # the model is frozen and the cone is immutable; a model without a
     # pullback raises, and lru_cache keeps no exception
     rays = extreme_rays(model.nef_cone())
-    gens = [pullback(model, AbelianDivisor(model.name, *ray), ctx).num for ray in rays]
-    return PolyCone.from_generators(gens, dim=ctx.dim, genus=ctx.g)
+    gens = [pullback(model, AbelianDivisor(model.name, *ray), g).num for ray in rays]
+    return PolyCone.from_generators(gens, dim=as_context(g).dim, genus=g)
 
 
 # -- position inside the two-parameter face -----------------------------------

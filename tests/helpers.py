@@ -47,6 +47,15 @@ from mgnef.fcurves import (
 from mgnef.linalg import clear_denominators, integer_rank
 
 
+def spy_on_class_objects(monkeypatch) -> list:
+    """The list of every FCurveClass built from now on."""
+    built = []
+    init = FCurveClass.__init__
+    monkeypatch.setattr(FCurveClass, "__init__",
+                        lambda rec, *args: built.append(rec) or init(rec, *args))
+    return built
+
+
 def rand_fraction(rng: random.Random, lo=-6, hi=6, max_den=4) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
@@ -188,7 +197,7 @@ def full_support_pairings(d) -> list[tuple[int, int]]:
     if not support:
         return []
     return [(k, sum(map(mul, pick(row), xs)))
-            for k, row in enumerate(_table(d.ctx).rows) if any(row[i] for i in support)]
+            for k, row in enumerate(_table(d.ctx.g).rows) if any(row[i] for i in support)]
 
 
 # The references for DivisorClass arithmetic: every coefficient computed,

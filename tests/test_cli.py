@@ -13,8 +13,8 @@ import pytest
 from mgnef import cli
 from mgnef.cli import main
 from mgnef.errors import CertificateFailure
-from mgnef.fcurves import _classes_cached, _table
-from helpers import assert_no_floats, assert_rational_strings_canonical
+from mgnef.fcurves import _table
+from helpers import assert_no_floats, assert_rational_strings_canonical, spy_on_class_objects
 
 
 def run(capsys, *argv):
@@ -361,24 +361,27 @@ TABLE_COMMANDS = [
 ]
 
 
-def _cache_counts():
-    """Hits and misses of the integer class table and of its object view."""
-    return [(c.hits, c.misses) for c in (_table.cache_info(), _classes_cached.cache_info())]
+@pytest.fixture
+def cache_counts(monkeypatch):
+    """A function that gives the hits and misses of the integer class table
+    and the number of ``FCurveClass`` objects built since the fixture ran."""
+    built = spy_on_class_objects(monkeypatch)
+    return lambda: [(_table.cache_info().hits, _table.cache_info().misses), len(built)]
 
 
 @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda a: a[0])
-def test_genus_over_the_cap_builds_no_class_table(capsys, monkeypatch, argv):
+def test_genus_over_the_cap_builds_no_class_table(capsys, monkeypatch, cache_counts, argv):
     def fail(*args):
         raise AssertionError("the class table was requested")
 
     for name in ("numerical_classes", "is_fnef", "verify_extremal_face"):
         monkeypatch.setattr(cli, name, fail)
-    before = _cache_counts()
+    before = cache_counts()
     genus = cli._TABLE_MAX_GENUS + 1
     code, out, err = run(capsys, *argv, "--genus", str(genus))
     assert code == 1 and out == ""
     assert err == f"error: genus {genus} exceeds the class table limit {cli._TABLE_MAX_GENUS}\n"
-    assert _cache_counts() == before
+    assert cache_counts() == before == [before[0], 0]
 
 
 @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda a: a[0])
@@ -398,12 +401,12 @@ def test_genus_at_the_cap_reaches_the_class_table(monkeypatch, argv):
 # -- rays -------------------------------------------------------------------------
 
 
-def test_rays_over_the_dimension_limit_builds_no_class_table(capsys):
-    before = _cache_counts()
+def test_rays_over_the_dimension_limit_builds_no_class_table(capsys, cache_counts):
+    before = cache_counts()
     code, out, err = run(capsys, "rays", "--genus", "160")
     assert code == 1 and out == ""
     assert err == "error: dimension 82 exceeds the ray enumeration limit 8\n"
-    assert _cache_counts() == before
+    assert cache_counts() == before == [before[0], 0]
 
 
 # -- plumbing ---------------------------------------------------------------------

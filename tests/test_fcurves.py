@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgnef import cones, fcurves
+from mgnef import fcurves
 from mgnef import (
     FCurve,
     GenusMismatchError,
@@ -34,7 +34,7 @@ from mgnef import (
     twelve_lambda_minus_delta0,
     verify_extremal_face,
 )
-from mgnef.fcurves import FORMULAS, _class_terms, _classes_cached, _table
+from mgnef.fcurves import FORMULAS, _class_terms, _table
 from helpers import (
     dense_classes,
     full_row_is_fnef,
@@ -44,6 +44,7 @@ from helpers import (
     hashed_table,
     rand_divisor,
     rand_fraction,
+    spy_on_class_objects,
 )
 
 
@@ -354,8 +355,7 @@ def test_support_scan_stops_after_the_last_class_meeting_the_support():
             assert list(fcurves._support_pairings(d)) == full_support_pairings(d), (g, d.coeffs())
     # the scan of a divisor supported on {a, b_0} would test 42 of the 881
     # class rows at genus 40 (is_fnef answers those without the table)
-    ctx = as_context(40)
-    assert (len(_table(ctx).rows), fcurves._extent(ctx, 0), fcurves._extent(ctx, 1)) == (881, 1, 42)
+    assert (len(_table(40).rows), fcurves._extent(40, 0), fcurves._extent(40, 1)) == (881, 1, 42)
 
 
 @st.composite
@@ -424,32 +424,34 @@ def test_class_table_holds_rows_keys_and_tags():
     rows: one row, one representative key and one tag tuple per class."""
     assert fcurves._Table._fields == ("rows", "keys", "tags")
     for g in (3, 12, 40):
-        table = _table(as_context(g))
+        table = _table(g)
         assert len({len(table.rows), len(table.keys), len(table.tags)}) == 1, g
 
 
 def test_extent_is_one_past_the_last_row_meeting_the_coordinate():
-    """_extent(ctx, k) equals a brute-force scan of the rows, 0 where no
+    """_extent(g, k) equals a brute-force scan of the rows, 0 where no
     row meets coordinate k."""
     for g in [*range(3, 41), 80, 120]:
-        ctx = as_context(g)
-        rows = _table(ctx).rows
-        for k in range(ctx.dim):
+        rows = _table(g).rows
+        for k in range(as_context(g).dim):
             expected = max((i + 1 for i, row in enumerate(rows) if row[k]), default=0)
-            assert fcurves._extent(ctx, k) == expected, (g, k)
+            assert fcurves._extent(g, k) == expected, (g, k)
 
 
-def test_class_objects_share_the_table_tuples():
-    """The object view keeps no second copy of a row, an index or a tag tuple,
-    and its representatives are the table's keys."""
+def test_class_objects_share_the_table_tuples(monkeypatch):
+    """The objects, built on each call, keep no second copy of a row, an
+    index or a tag tuple, and their representatives are the table's keys."""
+    built = spy_on_class_objects(monkeypatch)
     for g in (3, 12, 40):
-        ctx = as_context(g)
-        table = _table(ctx)
-        classes = _classes_cached(ctx)
-        assert len(classes) == len(table.rows), g
-        for rec, key, row, tags in zip(classes, table.keys, table.rows, table.tags):
-            assert (rec.curve.family, rec.curve.indices) == key
-            assert rec.curve.indices is key[1] and rec.row is row and rec.tags is tags
+        table = _table(g)
+        for _ in range(2):
+            del built[:]
+            classes = numerical_classes(g)
+            assert built == classes and len(classes) == len(table.rows), g
+            for rec, key, row, tags in zip(classes, table.keys, table.rows, table.tags):
+                assert (rec.curve.family, rec.curve.indices) == key
+                assert rec.curve.indices is key[1] and rec.row is row and rec.tags is tags
+        assert _table(g) is table
 
 
 def test_certificate_builds_no_class_objects(monkeypatch):
@@ -459,12 +461,13 @@ def test_certificate_builds_no_class_objects(monkeypatch):
     built = []
     post_init = fcurves.FCurve.__post_init__
     monkeypatch.setattr(fcurves.FCurve, "__post_init__", lambda c: built.append(c) or post_init(c))
+    classes = spy_on_class_objects(monkeypatch)
     g = 97  # used by no other test
-    table, classes = _table.cache_info(), _classes_cached.cache_info()
+    table = _table.cache_info()
     cert = verify_extremal_face(g)
     assert cert.active_rank == as_context(g).dim - 2
     assert _table.cache_info() == table
-    assert _classes_cached.cache_info().misses == classes.misses
+    assert classes == []
     assert built == []
     # a failing query on the plane of a and b_0 builds its witness and no table
     ok, witness = is_fnef(from_coeffs(g, [1, 1] + [0] * (as_context(g).dim - 2)))
@@ -474,6 +477,7 @@ def test_certificate_builds_no_class_objects(monkeypatch):
     ok, witness = is_fnef(from_coeffs(g, [1] + [0] * (as_context(g).dim - 2) + [-1]))
     assert not ok and built[1:] == [witness]
     assert _table.cache_info().misses == table.misses + 1
+    assert classes == []
 
 
 def _keys_tags_and_row_digest(table):
@@ -485,27 +489,23 @@ def _keys_tags_and_row_digest(table):
     return table.keys, table.tags, digest.digest()
 
 
-def test_class_table_matches_hashed_reference(monkeypatch):
+def test_class_table_matches_hashed_reference():
     """The index rules give the rows, representative keys and member tags,
     in order, of grouping every curve on its hashed family-reduced row."""
-    # uncached builds, so the test keeps no table of its own alive
-    monkeypatch.setattr(fcurves, "_class_index", fcurves._class_index.__wrapped__)
     for g in [*range(3, 121), 160, 240]:
-        ctx = as_context(g)
-        # outside the assert, which would keep the table alive for its report
-        rules = _keys_tags_and_row_digest(_table.__wrapped__(ctx))
-        assert rules == _keys_tags_and_row_digest(hashed_table(ctx)), g
+        # uncached and outside the assert, which would keep the table alive
+        # for its report, so the test keeps no table of its own alive
+        rules = _keys_tags_and_row_digest(_table.__wrapped__(g))
+        assert rules == _keys_tags_and_row_digest(hashed_table(as_context(g))), g
 
 
 def test_certificate_active_set_matches_hashed_reference(monkeypatch):
     """The active set read off the index rules is the set of classes that
     lambda + (12*lambda - delta_0) meets in 0, and no class table is built."""
-    def fail(ctx):
-        raise AssertionError(f"class table built at genus {ctx.g}")
+    def fail(g):
+        raise AssertionError(f"class table built at genus {g}")
 
     monkeypatch.setattr(fcurves, "_table", fail)
-    # uncached, so the test keeps no class index of its own alive
-    monkeypatch.setattr(cones, "_class_index", fcurves._class_index.__wrapped__)
     for g in [*range(3, 121), 240]:
         assert verify_extremal_face(g).active_curves == hashed_active_curves(g), g
 
@@ -570,12 +570,11 @@ def test_class_table_matches_fraction_reference():
 def test_class_table_matches_dense_reference(monkeypatch):
     """Grouping on family-reduced rows gives the classes, order, rows and
     tags of grouping on 12 * (D . C) and dividing every row by its gcd."""
-    # uncached builds of both the table and its objects, so the test keeps
-    # no table of its own alive
+    # an uncached table under the objects, so the test keeps no table of its
+    # own alive
     monkeypatch.setattr(fcurves, "_table", _table.__wrapped__)
     for g in [*range(3, 81), 120]:
-        ctx = as_context(g)
-        assert _classes_cached.__wrapped__(ctx) == dense_classes(ctx), g
+        assert tuple(numerical_classes(g)) == dense_classes(as_context(g)), g
 
 
 def test_family_reduced_rows_are_primitive():

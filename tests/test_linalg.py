@@ -78,6 +78,16 @@ def test_det_frozen_values():
     assert QMatrix.from_rows(lower).det() == 1
 
 
+def test_det_of_int_entries_is_an_exact_fraction():
+    """A matrix built directly on int entries, not through ``from_rows``,
+    has the same exact determinant: no step divides two ints into a float."""
+    for n, entries in ((3, (2, 1, 1, 1, 3, 2, 1, 0, 0)), (2, (1, 2, 3, 4))):
+        det = QMatrix(n, n, entries).det()
+        expected = QMatrix.from_rows([entries[i:i + n] for i in range(0, n * n, n)]).det()
+        assert type(det) is Fraction and det == expected, (entries, det)
+    assert QMatrix(3, 3, (2, 1, 1, 1, 3, 2, 1, 0, 0)).det() == -1
+
+
 def test_det_matches_cofactor_oracle():
     rng = random.Random(101)
     for _ in range(60):

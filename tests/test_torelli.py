@@ -16,6 +16,7 @@ from mgnef import (
     DivisorClass,
     FCurve,
     FaceLocation,
+    GenusContext,
     ModelMismatchError,
     ParseError,
     PolyCone,
@@ -34,8 +35,10 @@ from mgnef import (
     from_coeffs,
     get_model,
     intersect,
+    is_fnef,
     lambda_class,
     parse_abelian,
+    parse_divisor,
     pullback,
     pullback_nef_cone,
     semiample_status,
@@ -237,12 +240,37 @@ def test_pullback_nef_cone_built_once_per_model_and_genus():
     for model in (PERFECT, SATAKE):
         for g in (3, 8, 40):
             cone = pullback_nef_cone(model, g)
-            assert pullback_nef_cone(model, as_context(g)) == cone
+            assert pullback_nef_cone(model, as_context(g)) is cone
             assert pullback_nef_cone(model, g) is cone
     # lru_cache keeps no exception, so the refusal comes on every call
     for _ in range(3):
         with pytest.raises(ModelMismatchError, match="no pullback stored"):
             pullback_nef_cone(PARTIAL, 5)
+
+
+def test_warm_queries_hash_no_genus_context(monkeypatch):
+    """Every per-genus cache is keyed on the int genus, so a query whose
+    caches are warm hashes no GenusContext: an F-nef check off the plane of
+    a and b_0 with its face position, a pullback, and a membership test in
+    the pulled back nef cone."""
+    g = 24
+
+    def queries():
+        d = parse_divisor("13*L - d0 - 1/2*d3 + K", g)
+        image = pullback(PERFECT, parse_abelian("13*M - D", "perfect"), g)
+        return (d, is_fnef(d), classify_in_face(d), image,
+                pullback_nef_cone(PERFECT, g).contains(image))
+
+    expected = queries()  # fills the caches
+    assert expected[1][0] is False and expected[4] is True
+    hashed = []
+    context_hash = GenusContext.__hash__
+    monkeypatch.setattr(GenusContext, "__hash__",
+                        lambda ctx: hashed.append(ctx.g) or context_hash(ctx))
+    assert hash(as_context(g)) == context_hash(as_context(g)) and hashed == [g]  # the spy works
+    del hashed[:]
+    assert queries() == expected
+    assert hashed == []
 
 
 @pytest.mark.parametrize("g", range(3, 9))
