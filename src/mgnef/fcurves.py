@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd
 from operator import itemgetter, mul
 
@@ -155,16 +155,15 @@ class FCurve(Record):
 
 
 def _on_support(c):
-    """The coordinates where the integer vector c is nonzero, an itemgetter
-    ``pick`` over them, and xs, c picked by it: ``sum(map(mul, pick(row), xs))``
-    is row . c.  The first index is picked again at the end, which keeps a
+    """An itemgetter ``pick`` over the coordinates where the integer vector c
+    is nonzero, and xs, c picked by it: ``sum(map(mul, pick(row), xs))`` is
+    row . c.  The first index is picked again at the end, which keeps a
     one-coordinate pick a tuple; it is sliced off xs, and map stops at the
     shorter of the two.  When c is zero, coordinate 0 stands in for the
     empty support."""
-    support = list(compress(range(len(c)), c))
-    picked = support or [0]
+    picked = list(compress(range(len(c)), c)) or [0]
     pick = itemgetter(*picked, picked[0])
-    return support, pick, pick(c)[:-1]
+    return pick, pick(c)[:-1]
 
 
 def ineq_row(c: FCurve) -> Vec:
@@ -200,7 +199,7 @@ def _witness_values(d: DivisorClass, ctx: GenusContext) -> list[Fraction]:
     """d . C for the genus-ctx witness curves, one per basis slot: each row
     paired with d's numerators on its support, over 12 * d.den; every zero is one object."""
     _same_genus(d, ctx)
-    _, pick, xs = _on_support(d.num)
+    pick, xs = _on_support(d.num)
     vals = [sum(map(mul, pick(row), xs)) for row in _witness_rows(ctx.g)]
     return [Fraction(v, 12 * d.den) if v else _ZERO for v in vals]
 
@@ -328,32 +327,6 @@ def enumerate_fcurves(g) -> list[FCurve]:
     return [rec.curve for rec in numerical_classes(g)]
 
 
-def _support_pairings(d: DivisorClass):
-    """(class index, value) in table order for each class whose row is
-    nonzero on d's support, nothing for the zero class.  The value, the row
-    paired with d's numerators on that support, is a positive multiple of
-    d . C; a class not yielded meets d in exactly 0."""
-    support, pick, xs = _on_support(d.num)
-    if not support:
-        return
-    g = d.ctx.g
-    rows = _table(g).rows
-    # no class after the last one that meets a support coordinate meets d
-    stop = max(map(_extent, repeat(g), support))
-    for k in compress(range(stop), map(any, map(pick, rows))):
-        yield k, sum(map(mul, pick(rows[k]), xs))
-
-
-@lru_cache(maxsize=None)
-def _extent(g: int, k: int) -> int:
-    """1 + the last table position whose row is nonzero at coordinate k, 0
-    if none is, found scanning the rows from the table's end; built per
-    coordinate on first use, since a support touches few of them."""
-    rows = _table(g).rows
-    rows_after = next(compress(range(len(rows)), map(itemgetter(k), reversed(rows))), len(rows))
-    return len(rows) - rows_after
-
-
 def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     """Nonnegativity against every F-curve.
 
@@ -361,8 +334,9 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     violated curve with the smallest (family, indices) key.  A divisor
     supported on a and b_0 meets C1 in (a - 12 b_0)/12, C2 in b_0, every
     C4 in 2 b_0 and every other class in 0, so its verdict and witness are
-    read off a - 12 b_0 and b_0, with no class table.  Otherwise a class that
-    ``_support_pairings`` does not yield pairs to 0 and is never a witness.
+    read off a - 12 b_0 and b_0, with no class table.  Otherwise each class
+    whose row is nonzero on d's support is paired with d on that support, in
+    table order; any other class pairs to 0 and is never a witness.
     """
     num = d.num
     if not any(num[2:]):
@@ -371,7 +345,9 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
         if num[1] < 0:
             return False, FCurve(d.ctx, "C2")
         return True, None
-    for k, value in _support_pairings(d):
-        if value < 0:
-            return False, FCurve(d.ctx, *_table(d.ctx.g).keys[k])
+    t = _table(d.ctx.g)
+    pick, xs = _on_support(num)
+    for key, row in compress(zip(t.keys, t.rows), map(any, map(pick, t.rows))):
+        if sum(map(mul, pick(row), xs)) < 0:
+            return False, FCurve(d.ctx, *key)
     return True, None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -52,6 +52,8 @@ class CompactificationModel(Record):
         object.__setattr__(self, "nef_rows", nef_rows)
         object.__setattr__(self, "nef_row_labels", nef_row_labels)
         object.__setattr__(self, "has_pullback", has_pullback)
+        # the pulled back nef cone per genus, filled by pullback_nef_cone
+        object.__setattr__(self, "_pullback_cones", {})
 
     def nef_cone(self) -> PolyCone:
         """Nef cone in the model's own (a, b) coordinates, built once per model."""
@@ -181,17 +183,15 @@ def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> Divisor
 
 def pullback_nef_cone(model: CompactificationModel, ctx) -> PolyCone:
     """V-rep image of the model's nef cone in divisor coordinates, built
-    once per model and genus."""
-    return _pullback_nef_cone_cached(model, as_context(ctx).g)
-
-
-@lru_cache(maxsize=None)
-def _pullback_nef_cone_cached(model: CompactificationModel, g: int) -> PolyCone:
-    # the model is frozen and the cone is immutable; a model without a
-    # pullback raises, and lru_cache keeps no exception
-    rays = extreme_rays(model.nef_cone())
-    gens = [pullback(model, AbelianDivisor(model.name, *ray), g).num for ray in rays]
-    return PolyCone.from_generators(gens, dim=as_context(g).dim, genus=g)
+    once per model and genus and kept on the model.  A model without a
+    pullback raises on every call, as it stores no cone."""
+    ctx = as_context(ctx)
+    cones = model._pullback_cones
+    if ctx.g not in cones:
+        rays = extreme_rays(model.nef_cone())
+        gens = [pullback(model, AbelianDivisor(model.name, *ray), ctx).num for ray in rays]
+        cones[ctx.g] = PolyCone.from_generators(gens, dim=ctx.dim, genus=ctx.g)
+    return cones[ctx.g]
 
 
 # -- position inside the two-parameter face -----------------------------------

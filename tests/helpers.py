@@ -40,7 +40,6 @@ from mgnef.fcurves import (
     _row,
     _row12,
     _slots,
-    _table,
     _tag,
     _tag_format,
 )
@@ -178,26 +177,11 @@ def full_row_is_fnef(d):
 def full_scan_is_fnef(d):
     """(True, None), or (False, the first class whose row pairs negatively)."""
     x = clear_denominators(d.coeffs())
-    if not any(x):
-        return True, None
-    _, pick, xs = _on_support(x)
+    support = [k for k, v in enumerate(x) if v]
     for rec in numerical_classes(d.ctx):
-        if sum(map(mul, pick(rec.row), xs)) < 0:
+        if sum(rec.row[k] * x[k] for k in support) < 0:
             return False, rec.curve
     return True, None
-
-
-# The reference for mgnef.fcurves._support_pairings: every row of the
-# class table tested on the support, to the table's end.  Stopping after the
-# last class that meets the support must yield the same pairs.
-def full_support_pairings(d) -> list[tuple[int, int]]:
-    """(class index, row paired with d on its support) for every class
-    whose row is nonzero on d's support."""
-    support, pick, xs = _on_support(clear_denominators(d.coeffs()))
-    if not support:
-        return []
-    return [(k, sum(map(mul, pick(row), xs)))
-            for k, row in enumerate(_table(d.ctx.g).rows) if any(row[i] for i in support)]
 
 
 # The references for DivisorClass arithmetic: every coefficient computed,
@@ -324,7 +308,7 @@ def hashed_table(ctx) -> _Table:
 def hashed_active_curves(g) -> tuple[str, ...]:
     ctx = as_context(g)
     table = hashed_table(ctx)
-    _, pick, xs = _on_support((lambda_class(ctx) + twelve_lambda_minus_delta0(ctx)).num)
+    pick, xs = _on_support((lambda_class(ctx) + twelve_lambda_minus_delta0(ctx)).num)
     return tuple(tags[0] for row, tags in zip(table.rows, table.tags)
                  if not sum(map(mul, pick(row), xs)))
 

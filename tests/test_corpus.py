@@ -1,18 +1,21 @@
 """Replay of the committed CLI output corpora in ``data/``.
 
 Each entry maps one ``mgnef`` invocation to the exit code and the SHA-256
-digests of its stdout and stderr, recorded from the console command.
+digests of its stdout and stderr, recorded from the console command; an
+invocation that writes ``--output`` to a file also records the file's digest.
 ``certify-corpus.json`` holds ``certify``; ``query-corpus.json`` holds
 ``check`` and ``pullback`` on the paper's face, off it, on its rays and
 on malformed or refused input; ``listing-corpus.json`` holds ``fcurves``,
-``table`` and ``bpf``, with their refusals.  The tests replay every entry in process,
-so any change to a byte of output or to an exit code shows as a failed
-entry; an intended change is re-recorded and shows as a diff of a corpus
-file.
+``table`` and ``bpf``, with their refusals, and ``--output`` to a file.
+The tests replay every entry in process, so any change to a byte of
+output or to an exit code shows as a failed entry; an intended change is
+re-recorded and shows as a diff of a corpus file.
 
 Re-record all three from a checkout's own sources with
 
     PYTHONPATH=src python3 tests/test_corpus.py
+
+which records nothing when ``python -m mgnef`` cannot run.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -63,6 +68,13 @@ BPF_GENERA = [3, 4, 12, 40, 120]
 ONE_POINT = ["--m-max", "1", "--alpha-max", "0", "--beta-max", "0"]
 BPF_OVER_CAPS = [["--genus", "3", "--m-max", "100001", "--alpha-max", "0", "--beta-max", "0"],
                  ["--genus", "10030", *ONE_POINT]]
+# --output to a file, which each run replaces with a new temporary path, and
+# a path under /dev/null, which no POSIX system can create, refused with exit 2
+OUTPUT_FILE = "<file>"
+OUTPUTS = [["certify", "--genus", "12", "--format", "json"],
+           ["fcurves", "--genus", "6", "--format", "text"],
+           ["table", "--genus", "12", "--format", "latex"]]
+UNWRITABLE = ["table", "--genus", "12", "--format", "latex", "--output", "/dev/null/table.tex"]
 
 
 def certify_invocations() -> list[list[str]]:
@@ -92,7 +104,8 @@ def listing_invocations() -> list[list[str]]:
     grids = [["--genus", str(g), *grid] for g in BPF_GENERA for grid in ([], ONE_POINT)]
     bpfs = [["bpf", *args, "--format", fmt]
             for args in grids + BPF_OVER_CAPS for fmt in ("text", "json")]
-    return fcurves + tables + bpfs
+    outputs = [[*argv, "--output", OUTPUT_FILE] for argv in OUTPUTS] + [UNWRITABLE]
+    return fcurves + tables + bpfs + outputs
 
 
 CORPORA = {"certify-corpus.json": certify_invocations, "query-corpus.json": query_invocations,
@@ -107,6 +120,18 @@ def _entry(code: int, out: str, err: str) -> dict:
     return {"exit": code, "stdout": _sha(out), "stderr": _sha(err)}
 
 
+def _with_file(run, argv: list[str]) -> dict:
+    """run(argv); when argv names OUTPUT_FILE, run on a new temporary path
+    instead, with the SHA-256 of the file written there added as "file"."""
+    if OUTPUT_FILE not in argv:
+        return run(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        entry = run([path if word == OUTPUT_FILE else word for word in argv])
+        entry["file"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return entry
+
+
 def run_in_process(argv: list[str]) -> dict:
     from mgnef.cli import main
 
@@ -116,13 +141,14 @@ def run_in_process(argv: list[str]) -> dict:
     return _entry(code, out.getvalue(), err.getvalue())
 
 
-def _replay(name: str) -> None:
+def _replay(name: str) -> dict:
     corpus = json.loads((DATA / name).read_text())
     invocations = CORPORA[name]()
     assert sorted(corpus) == sorted(" ".join(argv) for argv in invocations)
     for argv in invocations:
         key = " ".join(argv)
-        assert run_in_process(argv) == corpus[key], key
+        assert _with_file(run_in_process, argv) == corpus[key], key
+    return corpus
 
 
 def test_certify_corpus_replays_in_process():
@@ -134,20 +160,54 @@ def test_query_corpus_replays_in_process():
 
 
 def test_listing_corpus_replays_in_process():
-    _replay("listing-corpus.json")
+    corpus = _replay("listing-corpus.json")
+    assert corpus[" ".join(UNWRITABLE)]["exit"] == 2
+
+
+def test_recorder_writes_nothing_when_mgnef_cannot_run(monkeypatch, tmp_path, capsys):
+    """A probe that fails, as without mgnef on the path, stops the recorder
+    with a nonzero status before it runs or writes anything else."""
+    calls = []
+
+    def fail(args, **kwargs):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 1, "", "No module named mgnef\n")
+
+    monkeypatch.setattr(subprocess, "run", fail)
+    monkeypatch.setattr(sys.modules[__name__], "DATA", tmp_path)
+    assert main() != 0
+    assert calls == [[sys.executable, "-m", "mgnef", *PROBE]]
+    assert list(tmp_path.iterdir()) == []
+    assert "No module named mgnef" in capsys.readouterr().err
+
+
+def run_console(argv: list[str]) -> dict:
+    proc = subprocess.run([sys.executable, "-m", "mgnef", *argv],
+                          capture_output=True, text=True, encoding="utf-8")
+    return _entry(proc.returncode, proc.stdout, proc.stderr)
 
 
 def record(invocations: list[list[str]]) -> dict:
     """Run every invocation as ``python -m mgnef`` and collect the entries."""
-    corpus = {}
-    for argv in invocations:
-        proc = subprocess.run([sys.executable, "-m", "mgnef", *argv],
-                              capture_output=True, text=True, encoding="utf-8")
-        corpus[" ".join(argv)] = _entry(proc.returncode, proc.stdout, proc.stderr)
-    return corpus
+    return {" ".join(argv): _with_file(run_console, argv) for argv in invocations}
 
 
-if __name__ == "__main__":
+# run once before recording: a corpus of failed runs would replace the real one
+PROBE = ["certify", "--genus", "3"]
+
+
+def main() -> int:
+    probe = subprocess.run([sys.executable, "-m", "mgnef", *PROBE],
+                           capture_output=True, text=True, encoding="utf-8")
+    if probe.returncode:
+        print(f"python -m mgnef {' '.join(PROBE)} exited {probe.returncode}; nothing recorded",
+              probe.stderr, sep="\n", end="", file=sys.stderr)
+        return 1
     for name, invocations in CORPORA.items():
         (DATA / name).write_text(json.dumps(record(invocations()), indent=1) + "\n")
         print(f"recorded {len(invocations())} invocations to {DATA / name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -46,6 +46,7 @@ from mgnef import (
     zero_divisor,
 )
 from mgnef import torelli
+from mgnef._record import Record
 from helpers import full_scale, full_sub, rand_fraction, rand_nonneg_fraction
 
 # -- the catalog ----------------------------------------------------------------
@@ -242,16 +243,17 @@ def test_pullback_nef_cone_built_once_per_model_and_genus():
             cone = pullback_nef_cone(model, g)
             assert pullback_nef_cone(model, as_context(g)) is cone
             assert pullback_nef_cone(model, g) is cone
-    # lru_cache keeps no exception, so the refusal comes on every call
+    # the model keeps no cone for a refusal, so it comes on every call
     for _ in range(3):
         with pytest.raises(ModelMismatchError, match="no pullback stored"):
             pullback_nef_cone(PARTIAL, 5)
 
 
 def test_warm_queries_hash_no_genus_context(monkeypatch):
-    """Every per-genus cache is keyed on the int genus, so a query whose
-    caches are warm hashes no GenusContext: an F-nef check off the plane of
-    a and b_0 with its face position, a pullback, and a membership test in
+    """Every per-genus cache is keyed on the int genus, and the pulled back
+    nef cones are kept on their model, so a query whose caches are warm
+    hashes no GenusContext and no other record: an F-nef check off the plane
+    of a and b_0 with its face position, a pullback, and a membership test in
     the pulled back nef cone."""
     g = 24
 
@@ -268,9 +270,13 @@ def test_warm_queries_hash_no_genus_context(monkeypatch):
     monkeypatch.setattr(GenusContext, "__hash__",
                         lambda ctx: hashed.append(ctx.g) or context_hash(ctx))
     assert hash(as_context(g)) == context_hash(as_context(g)) and hashed == [g]  # the spy works
-    del hashed[:]
+    records = []
+    record_hash = Record.__hash__
+    monkeypatch.setattr(Record, "__hash__", lambda rec: records.append(rec) or record_hash(rec))
+    assert hash(PERFECT) == record_hash(PERFECT) and records == [PERFECT]  # so does this one
+    del hashed[:], records[:]
     assert queries() == expected
-    assert hashed == []
+    assert hashed == [] and records == []
 
 
 @pytest.mark.parametrize("g", range(3, 9))
