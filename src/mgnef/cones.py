@@ -9,6 +9,7 @@ so output is reproducible across runs and machines.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 from operator import mul
@@ -92,20 +93,36 @@ class PolyCone(Record):
         x, _ = _as_point(self, point)
         if self.ineq_rows:
             return all(sum(map(mul, r, x)) >= 0 for r in self.ineq_rows)
-        if self.generators is not None:
+        if self.generators is None:
+            raise ValueError("cone has neither inequalities nor generators")
+        if self._simplicial is None:
             return _phase1(self.generators, x) is not None
-        raise ValueError("cone has neither inequalities nor generators")
+        basis, cols, n = self._simplicial  # (x | 0) reduces to (s*x - G*y | -y), s > 0
+        out = _reduce(x + (0,) * (len(cols) - n), basis, cols)
+        return not any(out[:n]) and all(y <= 0 for y in out[n:])
+
+    @cached_property
+    def _simplicial(self):
+        """For linearly independent generators g_j, which put every pivot of
+        the rows (g_j | e_j) in the first ``dim`` columns, their echelon
+        basis, its non-pivot columns and how many of those are among the
+        first ``dim``; None for dependent ones."""
+        k, gens = len(self.generators), self.generators
+        basis = _echelon((*g, *(int(i == j) for i in range(k))) for j, g in enumerate(gens))
+        if any(c >= self.dim for c in basis):
+            return None
+        return basis, [c for c in range(self.dim + k) if c not in basis], self.dim - len(basis)
 
 
 def _as_point(cone: PolyCone, point) -> tuple[Sequence, int]:
     """Integers x and a positive s with point = x / s: a divisor's numerators
-    and denominator, or the coordinates read through ``vec`` and cleared."""
+    and denominator, or the coordinates read as Fractions and cleared."""
     if isinstance(point, DivisorClass):
         if cone.genus is not None and point.ctx.g != cone.genus:
             raise GenusMismatchError(f"divisor genus {point.ctx.g} vs cone genus {cone.genus}")
         x, s = point.num, point.den
     else:
-        x = vec(point)
+        x = tuple(v if v.__class__ in (int, Fraction) else Fraction(v) for v in point)
         x, s = clear_denominators(x), lcm(*(v.denominator for v in x))
     if len(x) != cone.dim:
         raise ValueError(f"point of length {len(x)} in a {cone.dim}-dimensional cone")

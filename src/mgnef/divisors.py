@@ -285,25 +285,27 @@ def _read_int(digits: str, pos: int) -> int:
     return int(digits)
 
 
-def _parse_linear(text: str, dim: int, names: str, atom, what: str) -> tuple[list[int], int]:
+def _parse_linear(text: str, dim: int, names: str, table: dict, miss,
+                  what: str) -> tuple[list[int], int]:
     """Coefficient vector of ``[+|-] term ([+|-] term)*`` over a basis, as
     integer numerators over one positive denominator.  A term is a name of
     the alternation ``names``, ``p/q * name`` or a bare ``0``, read by one
-    match (see ``_term_pattern``).  ``atom(name, pos)`` returns the nonzero
-    integer coordinates, as (index, value) pairs, of the name matched at
-    pos.  ``what`` describes the names in errors."""
-    term, terms = _term_pattern(names), []  # (p, q, coordinates) of each term p/q * name
+    match (see ``_term_pattern``).  ``table`` maps a name to its nonzero
+    integer coordinates, as (index, value) pairs, and ``miss(name, pos)``
+    gives them for a name matched at pos that it lacks (None if none can
+    be).  ``what`` describes the names in errors."""
+    term, num, den = _term_pattern(names), [0] * dim, 1
     pos, end = len(text) - len(text.lstrip()), len(text)
     if pos == end:
         raise ParseError("empty divisor expression", pos)
     while pos < end:
         m = term.match(text, pos)
-        sign, digits, den, _, star, name = m.groups()
+        sign, digits, q_digits, _, star, name = m.groups()
         p, q, pos = -1 if sign[:1] == "-" else 1, 1, m.end()
         if digits is not None:
             p *= _read_int(digits, m.start("num"))
-            if den is not None:
-                q = _read_int(den, m.start("den"))
+            if q_digits is not None:
+                q = _read_int(q_digits, m.start("den"))
                 if not q:
                     raise ParseError("zero denominator", m.start("den"))
             if star is None:  # only a bare 0 is a term without '*'
@@ -318,15 +320,17 @@ def _parse_linear(text: str, dim: int, names: str, atom, what: str) -> tuple[lis
         elif name is None:
             raise ParseError(f"expected {what}", m.end("sign"))
         if name:
-            terms.append((p, q, atom(name, m.start("name"))))
+            coords = table.get(name)
+            if coords is None:
+                coords = miss(name, m.start("name"))
+            if den % q:  # the denominator grows to lcm(den, q)
+                f = q // gcd(den, q)
+                num, den = [f * x for x in num], den * f
+            p *= den // q
+            for i, x in coords:
+                num[i] += p * x
         if pos < end and text[pos] not in "+-":
             raise ParseError("expected '+' or '-'", pos)
-    den = lcm(*(q for _, q, _ in terms))
-    num = [0] * dim
-    for p, q, coords in terms:
-        p *= den // q
-        for i, x in coords:
-            num[i] += p * x
     return num, den
 
 
@@ -337,19 +341,20 @@ _DIVISOR_NAMES = "|".join(map(re.escape, _SHORTHANDS)) + r"|d\d*"
 
 
 @lru_cache(maxsize=None)
-def _coeffs(make, g: int, *args) -> tuple[tuple[int, int], ...]:
-    """Nonzero integer coordinates (index, value) of a named class, built once per genus."""
-    return tuple((i, x) for i, x in enumerate(make(g, *args).num) if x)
+def _names(g: int) -> dict[str, tuple[tuple[int, int], ...]]:
+    """Nonzero integer coordinates (index, value) of every divisor name at
+    genus g, the shorthands and d0, ..., dg, built once per genus."""
+    table = {name: tuple((i, x) for i, x in enumerate(make(g).num) if x)
+             for name, make in _SHORTHANDS.items()}
+    return table | {f"d{k}": ((1 + reflect_index(k, g), -1),) for k in range(g + 1)}
 
 
 def parse_divisor(text: str, ctx) -> DivisorClass:
     """Parse ``a*L - b0*d0 - ...`` (shorthands: lambda, 12L-d0, K, Delta, 0)."""
     ctx = as_context(ctx)
 
-    def atom(name, pos):
-        if name[0] == "d":
-            return ((1 + reflect_index(_read_int(name[1:], pos + 1), ctx.g), -1),)
-        return _coeffs(_SHORTHANDS[name], ctx.g)
+    def miss(name, pos):  # a subscript the table does not spell, as d007
+        return ((1 + reflect_index(_read_int(name[1:], pos + 1), ctx.g), -1),)
 
-    num, den = _parse_linear(text, ctx.dim, _DIVISOR_NAMES, atom, "a divisor name")
+    num, den = _parse_linear(text, ctx.dim, _DIVISOR_NAMES, _names(ctx.g), miss, "a divisor name")
     return DivisorClass._of(ctx, tuple(num), den)

@@ -58,7 +58,8 @@ def _reduce(row: Sequence[int], basis: dict[int, list[int]], cols: Sequence[int]
     every pivot column, on the columns ``cols`` only.
 
     Basis rows are zero at every pivot column but their own, so the row
-    meets only the pivots where it is nonzero.
+    meets only the pivots where it is nonzero; their pivots are positive,
+    as ``_echelon`` makes them, so the multiple is.
     """
     s, out = 1, [row[j] for j in cols]
     for c, b in basis.items():
@@ -75,10 +76,10 @@ def _echelon(rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
 
     Each basis row is zero before its pivot and at every other pivot, and
     is divided by the gcd of its entries (the gcd variant of Bareiss's
-    integer-preserving elimination), so the basis is the reduced row
-    echelon form up to row scaling.  A row is in the span exactly when
-    its reduction vanishes on the non-pivot columns, so only those are
-    computed for it unless it adds a pivot.
+    integer-preserving elimination) and has a positive pivot, so the basis
+    is the reduced row echelon form up to positive row scaling.  A row is
+    in the span exactly when its reduction vanishes on the non-pivot
+    columns, so only those are computed for it unless it adds a pivot.
     """
     basis: dict[int, list[int]] = {}
     free: list[int] = []
@@ -89,6 +90,8 @@ def _echelon(rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
             continue
         r = _divide_gcd(_reduce(row, basis, range(len(row))))
         lead = next(c for c, x in enumerate(r) if x)
+        if r[lead] < 0:
+            r = [-x for x in r]
         for c, b in basis.items():
             if b[lead]:
                 basis[c] = _divide_gcd(_reduce(b, {lead: r}, range(len(b))))

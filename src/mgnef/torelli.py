@@ -24,14 +24,13 @@ from ._record import Record
 from .cones import PolyCone, extreme_rays
 from .divisors import (
     DivisorClass,
-    _coeffs,
+    _names,
     _parse_linear,
     as_context,
     boundary_total,
     canonical_class,
-    delta,
     face_member,
-    lambda_class,
+    parse_divisor,
 )
 from .errors import ModelMismatchError
 from .fcurves import FCurve, intersect
@@ -111,7 +110,7 @@ class AbelianDivisor(Record):
     _fields = ("model", "a", "b")
 
     def __init__(self, model: str, a: Fraction, b: Fraction = Fraction(0)):
-        a, b = Fraction(a), Fraction(b)
+        a, b = [x if x.__class__ is Fraction else Fraction(x) for x in (a, b)]
         if get_model(model).picard_rank == 1 and b != 0:
             raise ModelMismatchError(f"model {model!r} has no D class")
         object.__setattr__(self, "model", model)
@@ -143,15 +142,12 @@ _BASIS = {"M": ((0, 1),), "D": ((1, -1),)}
 
 def parse_abelian(text: str, model_name: str) -> AbelianDivisor:
     """Parse ``a*M - b*D`` (either term optional, rationals as p/q)."""
-    num, den = _parse_linear(text, 2, "M|D", lambda name, pos: _BASIS[name],
-                             "basis class M or D")
+    num, den = _parse_linear(text, 2, "M|D", _BASIS, None, "basis class M or D")
     # the model is checked by AbelianDivisor, which also refuses D at rank 1
     return AbelianDivisor(model_name, Fraction(num[0], den), Fraction(num[1], den))
 
 
-# the images of M and D: lambda and delta_0, as named classes of divisors
-# with their arguments after the genus
-_IMAGES = ((lambda_class,), (delta, 0))
+_IMAGES = ("L", "d0")  # the divisor names of lambda and delta_0, the images of M and D
 
 
 def _images(model: CompactificationModel) -> tuple:
@@ -163,7 +159,7 @@ def _images(model: CompactificationModel) -> tuple:
 def basis_images(model: CompactificationModel, ctx) -> tuple[DivisorClass, ...]:
     """Pullback images of the model's basis classes, when the catalog has them."""
     ctx = as_context(ctx)
-    return tuple(make(ctx, *args) for make, *args in _images(model))
+    return tuple(parse_divisor(name, ctx) for name in _images(model))
 
 
 def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> DivisorClass:
@@ -173,10 +169,10 @@ def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> Divisor
             f"divisor on model {adiv.model!r} pulled back through {model.name!r}"
         )
     ctx = as_context(ctx)
-    den, v = lcm(adiv.a.denominator, adiv.b.denominator), [0] * ctx.dim
-    for c, (make, *args) in zip((adiv.a, -adiv.b), _images(model)):
+    den, v, names = lcm(adiv.a.denominator, adiv.b.denominator), [0] * ctx.dim, _names(ctx.g)
+    for c, name in zip((adiv.a, -adiv.b), _images(model)):
         c = c.numerator * (den // c.denominator)
-        for i, x in _coeffs(make, ctx.g, *args):
+        for i, x in names[name]:
             v[i] += c * x
     return DivisorClass._of(ctx, tuple(v), den)
 
@@ -216,6 +212,9 @@ class FaceClassification(Record):
         object.__setattr__(self, "epsilon", epsilon)
 
 
+_OUTSIDE = FaceClassification(FaceLocation.OUTSIDE)  # shared by every divisor off the face
+
+
 def classify_in_face(d: DivisorClass) -> FaceClassification:
     """Position of a divisor relative to the cone spanned by lambda and
     12*lambda - delta_0.
@@ -224,10 +223,10 @@ def classify_in_face(d: DivisorClass) -> FaceClassification:
     alpha, beta >= 0; interior members also report epsilon = a/b - 12,
     the slope excess over the boundary ray.
     """
-    a, b0, *rest = d.num
-    alpha = a - 12 * b0  # alpha and beta times d's denominator
-    if any(rest) or b0 < 0 or alpha < 0:
-        return FaceClassification(FaceLocation.OUTSIDE)
+    b0 = d.num[1]
+    alpha = d.num[0] - 12 * b0  # alpha and beta times d's denominator
+    if b0 < 0 or alpha < 0 or any(d.num[2:]):
+        return _OUTSIDE
     loc = (FaceLocation.INTERIOR if alpha and b0 else FaceLocation.RAY_LAMBDA if alpha
            else FaceLocation.RAY_12LAMBDA_DELTA0 if b0 else FaceLocation.ORIGIN)
     return FaceClassification(loc, Fraction(alpha, d.den), Fraction(b0, d.den),
@@ -263,11 +262,14 @@ _RAY_BEYOND_GENUS_11 = (
     "nef, semi-ampleness unknown",
     "nef for every genus, but basepoint freeness beyond genus 11 is not settled by this catalog",
 )
+_OFF_FACE = SemiampleStatus(_OUTSIDE, *_SEMIAMPLE[FaceLocation.OUTSIDE])
 
 
 def semiample_status(d: DivisorClass) -> SemiampleStatus:
     """What the catalog knows about base loci of multiples of the class."""
     cls = classify_in_face(d)
+    if cls is _OUTSIDE:
+        return _OFF_FACE
     if cls.location is FaceLocation.RAY_12LAMBDA_DELTA0 and d.ctx.g > 11:
         return SemiampleStatus(cls, *_RAY_BEYOND_GENUS_11)
     return SemiampleStatus(cls, *_SEMIAMPLE[cls.location])

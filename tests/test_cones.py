@@ -429,6 +429,58 @@ def test_membership_of_a_divisor_matches_its_coordinates():
             assert cone.contains(x) is want and cone.contains(tuple(x)) is want, x
 
 
+@st.composite
+def small_vrep_points(draw):
+    """A dimension 1..4, 0..4 integer generators, drawn entry by entry (so
+    often dependent, and sometimes zero) or triangular with a nonzero
+    diagonal (so independent), and a point: an integer combination of the
+    generators with coefficients of either sign, moved off their span half
+    the time."""
+    d = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=4))
+    else:
+        gens = [[0] * j + [draw(st.sampled_from((-2, -1, 1, 2)))]
+                + draw(st.lists(entry, min_size=d - j - 1, max_size=d - j - 1))
+                for j in range(draw(st.integers(0, d)))]
+    coeffs = draw(st.lists(entry, min_size=len(gens), max_size=len(gens)))
+    x = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(d)]
+    if draw(st.booleans()):
+        x = [a + b for a, b in zip(x, draw(st.lists(entry, min_size=d, max_size=d)))]
+    return d, gens, x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_vrep_points())
+def test_vrep_membership_matches_nonneg_combination_property(case):
+    """V-rep ``contains`` answers as the simplex does, whether the
+    generators are independent (the span test), dependent (phase 1) or
+    absent (the zero cone)."""
+    d, gens, x = case
+    cone = PolyCone.from_generators(gens, dim=d)
+    want = nonneg_combination(gens, x) is not None
+    assert cone.contains(x) is want
+    assert cone.contains([Fraction(v, 3) for v in x]) is want
+
+
+def test_vrep_membership_of_independent_generators_runs_no_simplex(monkeypatch):
+    """A warm pulled back cone answers from its cached echelon basis, with
+    no phase-1 simplex; a cone with dependent generators still runs one."""
+    calls = []
+    phase1 = cones._phase1
+    monkeypatch.setattr(cones, "_phase1", lambda *args: calls.append(args) or phase1(*args))
+    cone = pullback_nef_cone(PERFECT, 40)
+    points = [parse_divisor(t, 40) for t in ("L", "12L-d0", "5/2*L + 12L-d0", "11*L - d0",
+                                             "L - d3", "0")]
+    for _ in range(2):  # the first pass may build the cached basis, the second reads it
+        assert [cone.contains(d) for d in points] == [True, True, True, False, False, True]
+    assert calls == []
+    dependent = PolyCone.from_generators([(1, 0), (0, 1), (1, 1)])
+    assert dependent.contains((1, 2)) and not dependent.contains((-1, 2))
+    assert len(calls) == 2
+
+
 # -- faces ----------------------------------------------------------------------
 
 

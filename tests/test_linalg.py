@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgnef import NonSquareError, QMatrix, dot, primitive, vec
-from mgnef.linalg import clear_denominators, integer_rank
+from mgnef.linalg import _echelon, _reduce, clear_denominators, integer_rank
 from helpers import rand_matrix_rows
 
 # -- independent oracles ------------------------------------------------------
@@ -279,3 +279,47 @@ def test_kernel_inverse_solve_match_sympy(rows, data):
         assert mat.matvec(x) == b
         pivots = ref.rref()[1]
         assert all(x[c] == 0 for c in range(mat.ncols) if c not in pivots)
+
+
+def test_echelon_pivots_are_positive():
+    """A row whose reduction leads with a negative entry is stored negated,
+    so reducing against the basis scales the reduced row by a positive
+    number: [1, 0] meets the pivot 1 of [1, -1], not -1."""
+    assert _echelon([(-2, 1, 0), (0, 0, 1)]) == {0: [2, -1, 0], 2: [0, 0, 1]}
+    basis = _echelon([(-1, 1)])
+    assert basis == {0: [1, -1]}
+    assert _reduce([1, 0], basis, range(2)) == [0, 1]
+
+
+@st.composite
+def integer_rows(draw):
+    """Small integer matrices with zero, repeated and negated rows, and one
+    more row to reduce."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=2 * ncols))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "negate")), max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([0] * ncols)
+        else:
+            c = 1 if kind == "repeat" else -1
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+    return rows, draw(row)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(integer_rows())
+def test_echelon_pivots_positive_and_reduce_scales_positively(drawn):
+    """Every pivot is positive, and ``_reduce`` returns s * row minus a
+    combination of basis rows for some s > 0: on the row with a 1
+    appended and basis rows with a 0 appended, s is the last entry."""
+    rows, row = drawn
+    basis = _echelon(rows)
+    assert all(b[c] > 0 for c, b in basis.items())
+    ncols = len(row)
+    out = _reduce([*row, 1], {c: [*b, 0] for c, b in basis.items()}, range(ncols + 1))
+    s = out[-1]
+    assert s > 0
+    assert all(out[c] == 0 for c in basis)
+    rest = [s * x - y for x, y in zip(row, out)]
+    assert integer_rank([*basis.values(), rest]) == len(basis)

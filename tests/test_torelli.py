@@ -15,12 +15,14 @@ from mgnef import (
     AbelianDivisor,
     DivisorClass,
     FCurve,
+    FaceClassification,
     FaceLocation,
     GenusContext,
     ModelMismatchError,
     ParseError,
     PolyCone,
     QMatrix,
+    SemiampleStatus,
     UnsupportedGenusError,
     BpfEntry,
     as_context,
@@ -411,6 +413,22 @@ def test_semiample_catalog():
         semiample_status(d).reason
         for d in (zero_divisor(5), lambda_class(5), twelve_lambda_minus_delta0(5))
     )
+
+
+def test_divisors_off_the_face_share_one_record_each():
+    """Every divisor off the face gets the same immutable classification and
+    status objects, equal to, and hashing as, freshly built ones."""
+    off = [from_coeffs(7, [1, 0, 1, 0, 0]), parse_divisor("11*L - d0", 40),
+           parse_divisor("L + 12L-d0 - 1/2*d5", 24), from_coeffs(7, [1, -1, 0, 0, 0])]
+    classes = [classify_in_face(d) for d in off]
+    statuses = [semiample_status(d) for d in off]
+    assert all(c is classes[0] for c in classes) and all(s is statuses[0] for s in statuses)
+    fresh = FaceClassification(FaceLocation.OUTSIDE)
+    assert classes[0] == fresh and hash(classes[0]) == hash(fresh)
+    fresh_status = SemiampleStatus(fresh, "unknown",
+                                   "outside the two-parameter face covered by this catalog")
+    assert statuses[0] == fresh_status and hash(statuses[0]) == hash(fresh_status)
+    assert statuses[0].classification is classes[0]
 
 
 # -- adjoint scan -----------------------------------------------------------------
