@@ -105,8 +105,8 @@ _BPF_MAX_ROW_ENTRIES = _BPF_MAX_EVALUATIONS * 503
 # fcurves builds the class table, which grows about as g^3, and so does check
 # for a divisor off the plane of a and b_0.  certify and pullback build none,
 # but certify's active set grows as fast, and all four share the cap.  At the
-# cap fcurves --format json ran in 1.1 s and 123 MB of memory, check of L - d7
-# in 0.07 s and 27 MB, certify in 0.05 s and 22 MB (2 vCPUs, Python 3.11)
+# cap (cold, 2 vCPUs, Python 3.11.7, 0.06 s of it start-up): fcurves --format
+# json 1.5-1.6 s and 120 MB, check of L - d7 0.11 s and 27 MB, certify 0.08 s, 19 MB
 _TABLE_MAX_GENUS = 120
 
 

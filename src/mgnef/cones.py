@@ -97,21 +97,26 @@ class PolyCone(Record):
             raise ValueError("cone has neither inequalities nor generators")
         if self._simplicial is None:
             return _phase1(self.generators, x) is not None
-        basis, cols, n = self._simplicial  # (x | 0) reduces to (s*x - G*y | -y), s > 0
+        basis, cols, n, zero = self._simplicial  # (x | 0) reduces to (s*x - G*y | -y), s > 0
+        if any(map(x.__getitem__, zero)):
+            return False
         out = _reduce(x + (0,) * (len(cols) - n), basis, cols)
         return not any(out[:n]) and all(y <= 0 for y in out[n:])
 
     @cached_property
     def _simplicial(self):
         """For linearly independent generators g_j, which put every pivot of
-        the rows (g_j | e_j) in the first ``dim`` columns, their echelon
-        basis, its non-pivot columns and how many of those are among the
-        first ``dim``; None for dependent ones."""
+        the rows (g_j | e_j) in the first ``dim`` columns: their echelon
+        basis, its other columns but those where every g_j (so every basis
+        row) is zero, how many of them are among the first ``dim``, and the
+        zero columns, where a point reduces to itself; None otherwise."""
         k, gens = len(self.generators), self.generators
         basis = _echelon((*g, *(int(i == j) for i in range(k))) for j, g in enumerate(gens))
         if any(c >= self.dim for c in basis):
             return None
-        return basis, [c for c in range(self.dim + k) if c not in basis], self.dim - len(basis)
+        zero = [c for c in range(self.dim) if not any(g[c] for g in gens)]
+        cols = [c for c in range(self.dim + k) if c not in basis and c not in zero]
+        return basis, cols, self.dim - len(basis) - len(zero), zero
 
 
 def _as_point(cone: PolyCone, point) -> tuple[Sequence, int]:
@@ -308,11 +313,7 @@ def extreme_rays(cone: PolyCone, limit: int = DEFAULT_DIM_LIMIT) -> list[_Row]:
 
 class Check(Record):
     _fields = ("name", "ok", "detail")
-
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
+    detail = ""
 
 
 class FaceCertificate(Record):
@@ -320,18 +321,7 @@ class FaceCertificate(Record):
 
     _fields = ("genus", "face_dim", "generators", "active_curves", "active_rank",
                "lemma_mat", "det", "checks")
-
-    def __init__(self, genus: int | None, face_dim: int, generators: tuple[_Row, ...] | None,
-                 active_curves: tuple[str, ...], active_rank: int, lemma_mat: QMatrix | None,
-                 det: Fraction | None, checks: tuple[Check, ...] = ()):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "face_dim", face_dim)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "active_curves", active_curves)
-        object.__setattr__(self, "active_rank", active_rank)
-        object.__setattr__(self, "lemma_mat", lemma_mat)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "checks", checks)
+    checks = ()
 
     def to_json_dict(self) -> dict:
         return {

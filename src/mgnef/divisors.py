@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache, total_ordering
+from functools import lru_cache, total_ordering
 from itertools import compress
 from math import gcd, lcm
 from operator import index
@@ -118,16 +118,9 @@ class DivisorClass(Record, key=("ctx", "num", "den")):
 
     # -- coefficient access -------------------------------------------------
 
-    @cached_property
-    def _view(self) -> tuple[Fraction, ...]:
-        num, den = self.num, self.den
-        view = [_ZERO] * len(num)
-        for i in compress(range(len(num)), num):
-            view[i] = Fraction(num[i], den)
-        return tuple(view)
-
-    a = property(lambda self: self._view[0], doc="The coefficient a of lambda.")
-    b = property(lambda self: self._view[1:], doc="The coefficients b_0, ..., b_{floor(g/2)}.")
+    a = property(lambda self: Fraction(self.num[0], self.den) if self.num[0] else _ZERO,
+                 doc="The coefficient a of lambda.")
+    b = property(lambda self: self.coeffs()[1:], doc="The coefficients b_0, ..., b_{floor(g/2)}.")
 
     def b_at(self, k: int) -> Fraction:
         """b coefficient for subscript k, reflecting k past floor(g/2)."""
@@ -138,8 +131,12 @@ class DivisorClass(Record, key=("ctx", "num", "den")):
         return -self.b_at(k)
 
     def coeffs(self) -> tuple[Fraction, ...]:
-        """Coordinate vector (a, b_0, ..., b_{floor(g/2)})."""
-        return self._view
+        """Coordinate vector (a, b_0, ..., b_{floor(g/2)}), built on each call."""
+        num, den = self.num, self.den
+        view = [_ZERO] * len(num)
+        for i in compress(range(len(num)), num):
+            view[i] = Fraction(num[i], den)
+        return tuple(view)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -175,8 +172,9 @@ class DivisorClass(Record, key=("ctx", "num", "den")):
 
     def to_expr(self) -> str:
         """Signed expansion like ``13*L - 2*d0 - 2*d1``."""
-        pieces = [f"{self.a}*L"] if self.a else []
-        for i, c in enumerate(self.b):
+        a, *b = self.coeffs()
+        pieces = [f"{a}*L"] if a else []
+        for i, c in enumerate(b):
             if c:  # delta_i has coefficient -c
                 sign = " - " if c > 0 else " + "
                 pieces.append(f"{sign}{abs(c)}*d{i}" if pieces else f"{-c}*d{i}")

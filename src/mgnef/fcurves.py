@@ -241,12 +241,6 @@ class _Table(Record):
 
     _fields = ("rows", "keys", "tags")
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...],
-                 keys: tuple[tuple[str, tuple[int, ...]], ...], tags: tuple[tuple[str, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "tags", tags)
-
 
 def _class_index(g: int) -> tuple[tuple[tuple[str, tuple[int, ...]], ...],
                                   tuple[tuple[str, ...], ...]]:
@@ -296,11 +290,6 @@ class FCurveClass(Record):
     primitive integer form of its inequality row ``ineq_row(curve)``."""
 
     _fields = ("curve", "row", "tags")
-
-    def __init__(self, curve: FCurve, row: tuple[int, ...], tags: tuple[str, ...]):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "tags", tags)
 
     @property
     def vector(self) -> Vec:

@@ -110,11 +110,6 @@ class QMatrix(Record):
 
     _fields = ("nrows", "ncols", "entries")
 
-    def __init__(self, nrows: int, ncols: int, entries: tuple[Fraction, ...]):
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", entries)
-
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
         nrows = len(rows)

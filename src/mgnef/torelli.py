@@ -42,18 +42,6 @@ class CompactificationModel(Record):
     _fields = ("name", "picard_rank", "basis_labels", "nef_rows", "nef_row_labels",
                "has_pullback")
 
-    def __init__(self, name: str, picard_rank: int, basis_labels: tuple[str, ...],
-                 nef_rows: tuple[tuple[int, ...], ...], nef_row_labels: tuple[str, ...],
-                 has_pullback: bool):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "picard_rank", picard_rank)
-        object.__setattr__(self, "basis_labels", basis_labels)
-        object.__setattr__(self, "nef_rows", nef_rows)
-        object.__setattr__(self, "nef_row_labels", nef_row_labels)
-        object.__setattr__(self, "has_pullback", has_pullback)
-        # the pulled back nef cone per genus, filled by pullback_nef_cone
-        object.__setattr__(self, "_pullback_cones", {})
-
     def nef_cone(self) -> PolyCone:
         """Nef cone in the model's own (a, b) coordinates, built once per model."""
         return self._nef_cone
@@ -61,6 +49,10 @@ class CompactificationModel(Record):
     @cached_property
     def _nef_cone(self) -> PolyCone:
         return PolyCone.from_inequalities(self.nef_rows, self.nef_row_labels)
+
+    @cached_property
+    def _pullback_cones(self) -> dict[int, PolyCone]:  # per genus, by pullback_nef_cone
+        return {}
 
 
 SATAKE = CompactificationModel(
@@ -203,13 +195,7 @@ class FaceLocation(enum.Enum):
 
 class FaceClassification(Record):
     _fields = ("location", "alpha", "beta", "epsilon")
-
-    def __init__(self, location: FaceLocation, alpha: Fraction | None = None,
-                 beta: Fraction | None = None, epsilon: Fraction | None = None):
-        object.__setattr__(self, "location", location)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "epsilon", epsilon)
+    alpha = beta = epsilon = None
 
 
 _OUTSIDE = FaceClassification(FaceLocation.OUTSIDE)  # shared by every divisor off the face
@@ -238,11 +224,6 @@ def classify_in_face(d: DivisorClass) -> FaceClassification:
 
 class SemiampleStatus(Record):
     _fields = ("classification", "status", "reason")
-
-    def __init__(self, classification: FaceClassification, status: str, reason: str):
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "reason", reason)
 
 
 # what the catalog knows at each place of the face; the 12*lambda - delta_0
@@ -286,14 +267,6 @@ def _deviates(c3_values) -> bool:
 class BpfEntry(Record):
     _fields = ("m", "alpha", "beta", "divisor", "c3_values")
 
-    def __init__(self, m: int, alpha: Fraction, beta: Fraction, divisor: DivisorClass,
-                 c3_values: tuple[Fraction, ...]):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "c3_values", c3_values)
-
     @property
     def ok(self) -> bool:
         return not _deviates(self.c3_values)
@@ -303,13 +276,6 @@ class BpfReport(Record):
     """The scan's grid size and its entries whose C3 values are not all -1."""
 
     _fields = ("genus", "points", "deviations", "symbolic_ok")
-
-    def __init__(self, genus: int, points: int, deviations: tuple[BpfEntry, ...],
-                 symbolic_ok: bool):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "deviations", deviations)
-        object.__setattr__(self, "symbolic_ok", symbolic_ok)
 
     @property
     def ok(self) -> bool:

@@ -433,9 +433,9 @@ def test_membership_of_a_divisor_matches_its_coordinates():
 def small_vrep_points(draw):
     """A dimension 1..4, 0..4 integer generators, drawn entry by entry (so
     often dependent, and sometimes zero) or triangular with a nonzero
-    diagonal (so independent), and a point: an integer combination of the
-    generators with coefficients of either sign, moved off their span half
-    the time."""
+    diagonal (so independent), half the time with one column made zero in
+    every generator, and a point: an integer combination of the generators
+    with coefficients of either sign, moved off their span half the time."""
     d = draw(st.integers(1, 4))
     entry = st.integers(-3, 3)
     if draw(st.booleans()):
@@ -444,6 +444,9 @@ def small_vrep_points(draw):
         gens = [[0] * j + [draw(st.sampled_from((-2, -1, 1, 2)))]
                 + draw(st.lists(entry, min_size=d - j - 1, max_size=d - j - 1))
                 for j in range(draw(st.integers(0, d)))]
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, d - 1))
+        gens = [[0 if i == zero else v for i, v in enumerate(g)] for g in gens]
     coeffs = draw(st.lists(entry, min_size=len(gens), max_size=len(gens)))
     x = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(d)]
     if draw(st.booleans()):
@@ -479,6 +482,20 @@ def test_vrep_membership_of_independent_generators_runs_no_simplex(monkeypatch):
     dependent = PolyCone.from_generators([(1, 0), (0, 1), (1, 1)])
     assert dependent.contains((1, 2)) and not dependent.contains((-1, 2))
     assert len(calls) == 2
+
+
+def test_vrep_membership_refuses_a_point_off_the_span_unreduced(monkeypatch):
+    """A point that is nonzero on a column where every generator is zero is
+    off their span, and a warm cone refuses it without reducing it; a point
+    on the span is still reduced, on the columns left."""
+    cone = pullback_nef_cone(PERFECT, 40)
+    off, on = (parse_divisor(t, 40) for t in ("3/2*L + 3/2*12L-d0 + 8*d28", "3/2*L + 3/2*12L-d0"))
+    assert cone.contains(off) is False  # may build the cached basis
+    calls = []
+    reduce = cones._reduce
+    monkeypatch.setattr(cones, "_reduce", lambda *args: calls.append(args) or reduce(*args))
+    assert cone.contains(off) is False and calls == []
+    assert cone.contains(on) is True and len(calls) == 1
 
 
 # -- faces ----------------------------------------------------------------------

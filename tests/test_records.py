@@ -189,6 +189,23 @@ def test_keywords_and_defaults():
     assert ctx == GenusContext(g=5) and type(ctx.g) is int
 
 
+def test_base_constructor_refuses_bad_arguments():
+    """A record built by the base constructor raises TypeError on an
+    unknown keyword, a field given twice, an argument too many and a
+    missing field."""
+    for call in (lambda: Check("x", True, colour="red"),
+                 lambda: Check("x", True, name="y"),
+                 lambda: Check("x", True, "", "extra"),
+                 lambda: Check("x"),
+                 lambda: Check(ok=True),
+                 lambda: FaceClassification(FaceLocation.OUTSIDE, spin=None),
+                 lambda: FaceClassification(FaceLocation.OUTSIDE, location=FaceLocation.ORIGIN),
+                 lambda: FaceClassification(FaceLocation.OUTSIDE, None, None, None, None),
+                 lambda: FaceClassification(alpha=Fraction(1))):
+        with pytest.raises(TypeError):
+            call()
+
+
 @params
 def test_fields_cannot_be_assigned_or_deleted(name):
     x, fields, other = CASES[name]
