@@ -146,7 +146,7 @@ def divisor_texts(draw, g):
     return "".join(term(c, name) for c, name in terms).lstrip(" +")
 
 
-sweep = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+sweep = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @sweep
