@@ -303,10 +303,11 @@ def hashed_table(ctx) -> _Table:
 
 
 # The reference for the active set of mgnef.verify_extremal_face: the classes
-# of the hashed table at genus g whose rows, paired with
-# lambda + (12*lambda - delta_0) on its support, give 0.
-def hashed_active_curves(g, table: _Table) -> tuple[str, ...]:
+# of the hashed table whose rows, paired with lambda + (12*lambda - delta_0)
+# on its support, give 0.
+def hashed_active_curves(g) -> tuple[str, ...]:
     ctx = as_context(g)
+    table = hashed_table(ctx)
     pick, xs = _on_support((lambda_class(ctx) + twelve_lambda_minus_delta0(ctx)).num)
     return tuple(tags[0] for row, tags in zip(table.rows, table.tags)
                  if not sum(map(mul, pick(row), xs)))
