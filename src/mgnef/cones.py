@@ -252,7 +252,7 @@ def _dd_extreme_rays(A: Sequence[_Row], d: int) -> list[_Row]:
     start = sorted(_echelon(zip(*A)))
     if len(start) < d:
         raise NotPointedError("inequality rows do not have full rank")
-    inv = QMatrix.from_rows([A[i] for i in start]).inverse()
+    inv = QMatrix(d, d, tuple(chain.from_iterable(A[i] for i in start))).inverse()
     # column j of the inverse lies on every start row but the j-th
     rays = {primitive(inv.col(j)): frozenset(start[:j] + start[j + 1:]) for j in range(d)}
     for i in sorted(range(len(A)), key=A.__getitem__):
@@ -270,8 +270,10 @@ def _dd_extreme_rays(A: Sequence[_Row], d: int) -> list[_Row]:
                     continue
                 # the size test is necessary, the rank test exact; a QMatrix rank,
                 # not integer_rank: the traced benchmark counts these calls under
-                # extreme_rays as its evidence that double description ran
-                if QMatrix.from_rows([A[k] for k in common]).rank() == d - 2:
+                # extreme_rays as its evidence that double description ran.  Built
+                # from the int rows as they are, not through from_rows' Fractions
+                rows = [A[k] for k in common]
+                if QMatrix(len(rows), d, tuple(chain.from_iterable(rows))).rank() == d - 2:
                     r = primitive([vals[rp] * n - vals[rn] * p for p, n in zip(rp, rn)])
                     new[r] = common | {i}
         rays = new
@@ -365,7 +367,7 @@ def face_of(cone: PolyCone, point, limit: int = DEFAULT_DIM_LIMIT) -> FaceCertif
     # an integer basis of the face's linear span, the kernel of the active
     # rows (the whole space when none is active); the face is the cone the
     # rows cut out in these coordinates
-    kernel = QMatrix(len(active_rows), cone.dim, vec(chain.from_iterable(active_rows)))
+    kernel = QMatrix(len(active_rows), cone.dim, tuple(chain.from_iterable(active_rows)))
     span = [primitive(v) for v in kernel.kernel_basis()]
     face_dim = len(span)
     active_rank = cone.dim - face_dim

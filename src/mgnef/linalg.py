@@ -179,9 +179,8 @@ class QMatrix(Record):
                          for i, r in enumerate(self.rows()))
         if any(c >= n for c in basis):
             raise ZeroDivisionError("matrix is singular")
-        return QMatrix.from_rows(
-            [[Fraction(x, basis[i][i]) for x in basis[i][n:]] for i in range(n)]
-        )
+        return QMatrix(n, n, tuple(Fraction(x, basis[i][i])
+                                   for i in range(n) for x in basis[i][n:]))
 
     def solve(self, b: Sequence[Fraction]) -> Vec | None:
         """One solution of ``A x = b``, or None when inconsistent.

@@ -24,13 +24,11 @@ from ._record import Record
 from .cones import PolyCone, extreme_rays
 from .divisors import (
     DivisorClass,
-    _names,
     _parse_linear,
     as_context,
     boundary_total,
     canonical_class,
     face_member,
-    parse_divisor,
 )
 from .errors import ModelMismatchError
 from .fcurves import FCurve, intersect
@@ -139,34 +137,26 @@ def parse_abelian(text: str, model_name: str) -> AbelianDivisor:
     return AbelianDivisor(model_name, Fraction(num[0], den), Fraction(num[1], den))
 
 
-_IMAGES = ("L", "d0")  # the divisor names of lambda and delta_0, the images of M and D
-
-
-def _images(model: CompactificationModel) -> tuple:
-    if not model.has_pullback:
-        raise ModelMismatchError(f"no pullback stored in the catalog for model {model.name!r}")
-    return _IMAGES[: model.picard_rank]
-
-
 def basis_images(model: CompactificationModel, ctx) -> tuple[DivisorClass, ...]:
     """Pullback images of the model's basis classes, when the catalog has them."""
-    ctx = as_context(ctx)
-    return tuple(parse_divisor(name, ctx) for name in _images(model))
+    basis = ((1, 0), (0, -1))[: model.picard_rank]  # M and D, as (a, b) in a*M - b*D
+    return tuple(pullback(model, AbelianDivisor(model.name, *x), ctx) for x in basis)
 
 
 def pullback(model: CompactificationModel, adiv: AbelianDivisor, ctx) -> DivisorClass:
-    """Image of a*M - b*D on the divisor side."""
+    """Image a*lambda - b*delta_0 of a*M - b*D on the divisor side, whose
+    coordinates are (a, b, 0, ..., 0)."""
     if adiv.model != model.name:
         raise ModelMismatchError(
             f"divisor on model {adiv.model!r} pulled back through {model.name!r}"
         )
     ctx = as_context(ctx)
-    den, v, names = lcm(adiv.a.denominator, adiv.b.denominator), [0] * ctx.dim, _names(ctx.g)
-    for c, name in zip((adiv.a, -adiv.b), _images(model)):
-        c = c.numerator * (den // c.denominator)
-        for i, x in names[name]:
-            v[i] += c * x
-    return DivisorClass._of(ctx, tuple(v), den)
+    if not model.has_pullback:
+        raise ModelMismatchError(f"no pullback stored in the catalog for model {model.name!r}")
+    a, b = adiv.a, adiv.b
+    den = lcm(a.denominator, b.denominator)
+    num = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+    return DivisorClass._of(ctx, num + (0,) * (ctx.dim - 2), den)
 
 
 def pullback_nef_cone(model: CompactificationModel, ctx) -> PolyCone:

@@ -127,6 +127,28 @@ def test_dd_ranks_only_pairs_sharing_d_minus_2_rows(monkeypatch):
     assert len(sizes) < 500
 
 
+def test_dd_ranks_the_integer_rows_as_they_are(monkeypatch):
+    """At genus 10 double description takes 207 ranks, as the README says,
+    each of a matrix of the class table's ints, and reads no row through
+    QMatrix.from_rows."""
+    cone = fnef_cone(10)
+    entries = []
+    rank = QMatrix.rank
+
+    def counted(self):
+        entries.append(self.entries)
+        return rank(self)
+
+    def refused(cls, rows):
+        raise AssertionError("QMatrix.from_rows called")
+
+    monkeypatch.setattr(QMatrix, "rank", counted)
+    monkeypatch.setattr(QMatrix, "from_rows", classmethod(refused))
+    extreme_rays(cone)
+    assert len(entries) == 207
+    assert {x.__class__ for e in entries for x in e} == {int}
+
+
 def test_dd_rank_test_needed_beyond_the_size_test():
     # pairs whose rays share d - 2 = 1 row without being adjacent: dropping
     # the rank test also yields (-6, -5, -11) and (-3, 1, -2)

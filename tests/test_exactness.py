@@ -22,6 +22,7 @@ from mgnef import (
     NotPointedError,
     PolyCone,
     QMatrix,
+    basis_images,
     classify_in_face,
     enumerate_fcurves,
     extreme_rays,
@@ -178,6 +179,7 @@ def test_pullbacks_return_no_float(data):
     text = term(a, "M") + (term(b, "D") if b else "")
     parsed = parse_abelian(text.lstrip(" +"), name)
     out = [typed, parsed, typed.coeffs(), model.nef_cone().contains(typed.coeffs())]
+    out += [(image, image.coeffs()) for image in basis_images(model, g)]
     for adiv in (typed, parsed):
         image = pullback(model, adiv, g)
         out += [image, image.coeffs(), pullback_nef_cone(model, g).contains(image),

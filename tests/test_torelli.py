@@ -47,7 +47,7 @@ from mgnef import (
     twelve_lambda_minus_delta0,
     zero_divisor,
 )
-from mgnef import torelli
+from mgnef import divisors, torelli
 from mgnef._record import Record
 from helpers import full_scale, full_sub, rand_fraction, rand_nonneg_fraction
 
@@ -191,13 +191,13 @@ def _typed(d):
 
 def test_pullback_matches_arithmetic_reference():
     """Adding c * x over the images' nonzero coordinates gives every
-    coefficient the value and type that scaling and subtracting the basis
-    images as DivisorClass objects gives."""
+    coefficient the value and type that scaling and subtracting lambda and
+    delta_0 as DivisorClass objects gives."""
     rng = random.Random(1414)
     fixed = [0, 1, -1, 12, Fraction(-3, 4), Fraction(5, 2), "-7/3"]
     for g in (*range(3, 41), 120):
         for model in (SATAKE, PERFECT):
-            images = basis_images(model, g)
+            images = (lambda_class(g), delta(g, 0))
             for k in range(12):
                 a = fixed[k] if k < len(fixed) else rand_fraction(rng, -20, 20, 6)
                 b = 0 if model is SATAKE else rng.choice([0, rand_fraction(rng, -20, 20, 6)])
@@ -206,6 +206,16 @@ def test_pullback_matches_arithmetic_reference():
                 if model is PERFECT:
                     ref = full_sub(ref, full_scale(images[1], adiv.b))
                 assert _typed(pullback(model, adiv, g)) == _typed(ref), (g, model.name, a, b)
+
+
+def test_pullback_reads_no_divisor_name_table():
+    """The Torelli map is written in coordinates: pulling back at a genus
+    leaves the parser's per-genus name table alone."""
+    before = divisors._names.cache_info()
+    for model in (SATAKE, PERFECT):
+        basis_images(model, 57)
+        pullback(model, parse_abelian("5/2*M", model.name), 57)
+    assert divisors._names.cache_info() == before
 
 
 def test_pullback_refusals():
