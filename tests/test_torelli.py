@@ -190,9 +190,8 @@ def _typed(d):
 
 
 def test_pullback_matches_arithmetic_reference():
-    """Adding c * x over the images' nonzero coordinates gives every
-    coefficient the value and type that scaling and subtracting lambda and
-    delta_0 as DivisorClass objects gives."""
+    """The image of a*M - b*D has every coefficient the value and type that
+    scaling and subtracting lambda and delta_0 as DivisorClass objects gives."""
     rng = random.Random(1414)
     fixed = [0, 1, -1, 12, Fraction(-3, 4), Fraction(5, 2), "-7/3"]
     for g in (*range(3, 41), 120):
