@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 from .cones import (
@@ -27,7 +28,7 @@ from .cones import (
 )
 from .divisors import GenusContext, parse_divisor
 from .errors import CertificateFailure, MgnefError, ParseError, UnsupportedGenusError
-from .fcurves import FORMULAS, is_fnef, numerical_classes
+from .fcurves import FORMULAS, _vector12, is_fnef, numerical_classes
 from .torelli import (
     MODELS,
     bpf_scan,
@@ -83,7 +84,7 @@ def _printable(*numbers) -> None:
         raise _TooLong("result has a number longer than 4300 digits")
 
 
-def _emit(payload: dict, human: str, args) -> None:
+def _emit(payload: dict | None, human: str, args) -> None:
     # JSON is written in joined batches of encoder chunks, never as one string
     json_chunks = json.JSONEncoder(indent=2).iterencode(payload)
     chunks = json_chunks if args.format == "json" else iter([human])
@@ -94,42 +95,41 @@ def _emit(payload: dict, human: str, args) -> None:
         fh.write("\n")
 
 
-# the scan's work: grid points times C3 curves, and that times the row width
-# g//2 + 2 of each intersection.  The second cap admits every grid the first
-# admits up to g = 1002, whose rows are 503 wide, and a one-point grid up to
-# g = 10029.  At the caps the scan ran in 0.2-1.4 s and at most 19 MB of memory
-# (g = 3, 20, 1002 and 10026; 2 vCPUs, Python 3.11)
+# the caps price a scan that paired each grid point with each C3 curve, over
+# rows g//2 + 2 wide: points times curves, and that times the width.  The second
+# admits every grid the first admits up to g = 1002 and one point up to g = 10029.
+# The scan now pairs K + Delta and each face member once, so the caps over-price
+# it (re-pricing them is ROADMAP item 3): at the caps it ran in 0.09-0.22 s cold
+# and at most 19 MB (g = 3, 20, 1002 and 10026; 2 vCPUs, Python 3.11.7)
 _BPF_MAX_EVALUATIONS = 100_000
 _BPF_MAX_ROW_ENTRIES = _BPF_MAX_EVALUATIONS * 503
 
 # fcurves builds the class table, which grows about as g^3, and so does check
 # for a divisor off the plane of a and b_0.  certify and pullback build none,
 # but certify's active set grows as fast, and all four share the cap.  At the
-# cap (cold, 2 vCPUs, Python 3.11.7, 0.06 s of it start-up): fcurves --format
-# json 1.5-1.6 s and 120 MB, check of L - d7 0.11 s and 27 MB, certify 0.08 s, 19 MB
+# cap (cold, 2 vCPUs, Python 3.11.7, 0.08 s of it start-up): fcurves --format json
+# 0.7-0.9 s and 56 MB, check of L - d7 0.13-0.21 s and 27 MB, certify 0.11-0.15 s, 21 MB
 _TABLE_MAX_GENUS = 120
 
 
 def cmd_fcurves(args) -> int:
     g = args.genus
-    records = []
-    lines = [f"F-curve classes at genus {g}:"]
-    for rec in numerical_classes(g):
-        c, vector = rec.curve, rec.vector
-        records.append(
-            {
-                "family": c.family,
-                "indices": list(c.indices),
-                "genus": g,
-                "vector": [str(x) for x in vector],
-                "merged": list(rec.tags),
-            }
-        )
-        merged = "" if len(rec.tags) == 1 else f"  (= {', '.join(rec.tags[1:])})"
-        vecstr = "(" + ", ".join(str(x) for x in vector) + ")"
-        lines.append(f"  {c.tag:<16} {vecstr}{merged}")
-    payload = {"command": "fcurves", "genus": g, "count": len(records), "curves": records}
-    _emit(payload, "\n".join(lines), args)
+    classes = numerical_classes(g)
+    # each distinct entry of 12 * vector becomes its string once, and only the
+    # format asked for is built
+    text = lru_cache(maxsize=None)(lambda n: str(Fraction(n, 12)))
+    vectors = ([*map(text, _vector12(rec.curve.family, rec.curve.indices, g))] for rec in classes)
+    if args.format == "json":
+        curves = [{"family": rec.curve.family, "indices": list(rec.curve.indices), "genus": g,
+                   "vector": vector, "merged": list(rec.tags)}
+                  for rec, vector in zip(classes, vectors)]
+        _emit({"command": "fcurves", "genus": g, "count": len(curves), "curves": curves}, "", args)
+    else:
+        lines = [f"F-curve classes at genus {g}:"]
+        for rec, vector in zip(classes, vectors):
+            merged = "" if len(rec.tags) == 1 else f"  (= {', '.join(rec.tags[1:])})"
+            lines.append(f"  {rec.tags[0]:<16} ({', '.join(vector)}){merged}")
+        _emit(None, "\n".join(lines), args)
     return 0
 
 
@@ -272,9 +272,7 @@ def cmd_pullback(args) -> int:
 def cmd_bpf(args) -> int:
     g = args.genus
     GenusContext(g)  # refuses g < 3
-    # one intersection per grid point and C3(i), i = 1..g-2, each over a row
-    # of g//2 + 2 entries; counted before the scan, and never printed (it may
-    # exceed 4300 digits)
+    # counted before the scan, and never printed (it may exceed 4300 digits)
     points = args.m_max * (args.alpha_max + 1) * (args.beta_max + 1)
     if points * (g - 2) > _BPF_MAX_EVALUATIONS:
         raise MgnefError(

@@ -177,15 +177,23 @@ def _same_genus(d: DivisorClass, ctx: GenusContext) -> None:
 
 
 def intersect(d: DivisorClass, c: FCurve) -> Fraction:
-    """Intersection number of a divisor class with an F-curve."""
+    """Intersection number of a divisor class with an F-curve, read off the
+    coordinate of d that each term of the formula names."""
     _same_genus(d, c.ctx)
-    return Fraction(sum(map(mul, _row12(c.family, c.indices, c.ctx.g), d.num)), 12 * d.den)
+    slots, num, idx = _slots(c.ctx.g), d.num, c.indices
+    return Fraction(sum(coeff * num[0 if k is None else slots[k + sum(map(idx.__getitem__, pos))]]
+                        for coeff, k, pos in _terms(c.family)), 12 * d.den)
+
+
+def _vector12(family: str, indices: tuple[int, ...], g: int) -> tuple[int, ...]:
+    """12 * (lambda . C, delta_0 . C, ...): the row of 12 * (D . C), b negated."""
+    a, *b = _row12(family, indices, g)
+    return (a, *(-x for x in b))
 
 
 def intersection_vector(c: FCurve) -> Vec:
     """(lambda . C, delta_0 . C, ..., delta_{floor(g/2)} . C)."""
-    row = _row12(c.family, c.indices, c.ctx.g)
-    return (Fraction(row[0], 12),) + tuple(Fraction(-x, 12) for x in row[1:])
+    return tuple(Fraction(x, 12) for x in _vector12(c.family, c.indices, c.ctx.g))
 
 
 @lru_cache(maxsize=None)

@@ -249,17 +249,12 @@ def semiample_status(d: DivisorClass) -> SemiampleStatus:
 # -- scan of mD - (K + Delta) over a parameter grid ----------------------------
 
 
-def _deviates(c3_values) -> bool:
-    """Whether some C3 value of a scanned grid point differs from -1."""
-    return any(v != -1 for v in c3_values)
-
-
 class BpfEntry(Record):
     _fields = ("m", "alpha", "beta", "divisor", "c3_values")
 
     @property
     def ok(self) -> bool:
-        return not _deviates(self.c3_values)
+        return all(v == -1 for v in self.c3_values)
 
 
 class BpfReport(Record):
@@ -277,15 +272,9 @@ class BpfReport(Record):
             "entries": self.points,
             "symbolic_delta_check": self.symbolic_ok,
             "all_c3_equal_minus_one": not self.deviations,
-            "deviations": [
-                {
-                    "m": e.m,
-                    "alpha": str(e.alpha),
-                    "beta": str(e.beta),
-                    "c3_values": [str(v) for v in e.c3_values],
-                }
-                for e in self.deviations
-            ],
+            "deviations": [{"m": e.m, "alpha": str(e.alpha), "beta": str(e.beta),
+                            "c3_values": [str(v) for v in e.c3_values]}
+                           for e in self.deviations],
         }
 
 
@@ -296,24 +285,26 @@ def bpf_scan(ctx, m_values: Sequence[int], alphas: Sequence, betas: Sequence) ->
     delta_i coefficient (i >= 1) equal to -1 no matter what m is; each C3
     value should therefore be exactly -1.  The symbolic flag records that
     coefficient identity; the report counts the grid points and keeps, in
-    scan order, only the entries with some other value.
+    scan order, only the entries with some other value.  By linearity the
+    values at m are m * v_D - v_adj, the C3 values of D_{alpha,beta} and of
+    K + Delta, so m is scanned only when v_D is nonzero or v_adj is not 1.
     """
     ctx = as_context(ctx)
-    g = ctx.g
     adjoint = canonical_class(ctx) + boundary_total(ctx)
-    c3_curves = [FCurve(ctx, "C3", (i,)) for i in range(1, g - 1)]
+    c3_curves = [FCurve(ctx, "C3", (i,)) for i in range(1, ctx.g - 1)]
+    v_adj = [intersect(adjoint, c) for c in c3_curves]
 
     symbolic_ok = all(x == 1 for x in adjoint.b[1:])
-    points, deviations = 0, []
+    deviations = []
     for alpha in alphas:
         for beta in betas:
             member = face_member(ctx, alpha, beta)
-            if any(x != 0 for x in member.b[1:]):
-                symbolic_ok = False
-            for m in m_values:
-                dv = member.scale(m) - adjoint
-                vals = tuple(intersect(dv, c) for c in c3_curves)
-                points += 1
-                if _deviates(vals):
-                    deviations.append(BpfEntry(int(m), Fraction(alpha), Fraction(beta), dv, vals))
-    return BpfReport(g, points, tuple(deviations), symbolic_ok)
+            symbolic_ok = symbolic_ok and not any(member.num[2:])
+            v_d = [intersect(member, c) for c in c3_curves]
+            for m in m_values if any(v_d) or any(w != 1 for w in v_adj) else ():
+                vals = tuple(m * v - w for v, w in zip(v_d, v_adj))
+                if any(v != -1 for v in vals):
+                    deviations.append(BpfEntry(int(m), Fraction(alpha), Fraction(beta),
+                                               member.scale(m) - adjoint, vals))
+    points = len(m_values) * len(alphas) * len(betas)
+    return BpfReport(ctx.g, points, tuple(deviations), symbolic_ok)

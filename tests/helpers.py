@@ -11,6 +11,8 @@ from operator import itemgetter, mul
 from typing import Sequence
 
 from mgnef import (
+    BpfEntry,
+    BpfReport,
     CertificateFailure,
     DivisorClass,
     FaceCertificate,
@@ -22,6 +24,7 @@ from mgnef import (
     boundary_total,
     canonical_class,
     delta,
+    face_member,
     from_coeffs,
     intersect,
     is_fnef,
@@ -31,6 +34,7 @@ from mgnef import (
     reflect_index,
     twelve_lambda_minus_delta0,
 )
+from mgnef import torelli
 from mgnef.cones import Check
 from mgnef.fcurves import (
     _Table,
@@ -198,6 +202,32 @@ def full_add(d, e):
 
 def full_sub(d, e):
     return DivisorClass(d.ctx, d.a - e.a, tuple(x - y for x, y in zip(d.b, e.b)))
+
+
+# The reference for the adjoint scan: m*D - (K + Delta) built and paired
+# with every C3 at every grid point.  It pairs through ``torelli.intersect``,
+# so a test that patches that name patches both scans.  Pairing K + Delta
+# once and each face member once must give the same report.
+def per_point_bpf_scan(ctx, m_values, alphas, betas) -> BpfReport:
+    ctx = as_context(ctx)
+    g = ctx.g
+    adjoint = canonical_class(ctx) + boundary_total(ctx)
+    c3_curves = [FCurve(ctx, "C3", (i,)) for i in range(1, g - 1)]
+
+    symbolic_ok = all(x == 1 for x in adjoint.b[1:])
+    points, deviations = 0, []
+    for alpha in alphas:
+        for beta in betas:
+            member = face_member(ctx, alpha, beta)
+            if any(x != 0 for x in member.b[1:]):
+                symbolic_ok = False
+            for m in m_values:
+                dv = member.scale(m) - adjoint
+                vals = tuple(torelli.intersect(dv, c) for c in c3_curves)
+                points += 1
+                if any(v != -1 for v in vals):
+                    deviations.append(BpfEntry(int(m), Fraction(alpha), Fraction(beta), dv, vals))
+    return BpfReport(g, points, tuple(deviations), symbolic_ok)
 
 
 # The references for the face certificate: the lemma matrix built from

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from mgnef import cli
 from mgnef.cli import main
 from mgnef.errors import CertificateFailure
-from mgnef.fcurves import _table
+from mgnef.fcurves import _table, _vector12, numerical_classes
 from helpers import assert_no_floats, assert_rational_strings_canonical, spy_on_class_objects
 
 
@@ -50,6 +51,21 @@ def test_fcurves_text_lists_merges(capsys):
     code, out, _ = run(capsys, "fcurves", "--genus", "4")
     assert code == 0
     assert "(= C5(1,2))" in out and "C6(1,1,1,1)" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_fcurves_builds_one_format_and_a_fraction_per_distinct_entry(monkeypatch, fmt):
+    g = 40
+    distinct = {x for rec in numerical_classes(g)
+                for x in _vector12(rec.curve.family, rec.curve.indices, g)}
+    made, emitted = [], []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    monkeypatch.setattr(cli, "_emit", lambda payload, human, args: emitted.append((payload, human)))
+    assert main(["fcurves", "--genus", str(g), "--format", fmt]) == 0
+    ((payload, human),) = emitted
+    assert (payload is None) == (fmt == "text") and (human == "") == (fmt == "json")
+    assert sorted(n for n, _ in made) == sorted(distinct) and len(distinct) < 30
 
 
 # -- table ------------------------------------------------------------------------

@@ -62,10 +62,12 @@ FCURVES_GENERA = [*range(3, 13), 24, 40, 2, 121]
 # the symbolic table, which builds no class table, and its genus refusal
 TABLE_GENERA = [3, 4, 12, 120, 2]
 # the default 5 x 5 x 5 grid and a one-point grid up to the class table's
-# limit, and one grid over each cap, both refused before the scan: grid
-# points times C3 curves, and that times the row width
+# limit, the largest grid the caps admit at genus 3, and one grid over each
+# cap, both refused before the scan: grid points times C3 curves, and that
+# times the row width
 BPF_GENERA = [3, 4, 12, 40, 120]
 ONE_POINT = ["--m-max", "1", "--alpha-max", "0", "--beta-max", "0"]
+BPF_AT_CAP = ["--genus", "3", "--m-max", "100000", "--alpha-max", "0", "--beta-max", "0"]
 BPF_OVER_CAPS = [["--genus", "3", "--m-max", "100001", "--alpha-max", "0", "--beta-max", "0"],
                  ["--genus", "10030", *ONE_POINT]]
 # --output to a file, which each run replaces with a new temporary path, and
@@ -103,7 +105,7 @@ def listing_invocations() -> list[list[str]]:
               for g in TABLE_GENERA for fmt in ("text", "json", "latex")]
     grids = [["--genus", str(g), *grid] for g in BPF_GENERA for grid in ([], ONE_POINT)]
     bpfs = [["bpf", *args, "--format", fmt]
-            for args in grids + BPF_OVER_CAPS for fmt in ("text", "json")]
+            for args in grids + [BPF_AT_CAP] + BPF_OVER_CAPS for fmt in ("text", "json")]
     outputs = [[*argv, "--output", OUTPUT_FILE] for argv in OUTPUTS] + [UNWRITABLE]
     return fcurves + tables + bpfs + outputs
 
@@ -162,6 +164,20 @@ def test_query_corpus_replays_in_process():
 def test_listing_corpus_replays_in_process():
     corpus = _replay("listing-corpus.json")
     assert corpus[" ".join(UNWRITABLE)]["exit"] == 2
+
+
+# the corpus lists fcurves up to genus 40; at the class table's limit, 15903
+# classes, the two listings are pinned by the SHA-256 of their stdout
+FCURVES_AT_LIMIT = {
+    "json": "4c73be5f557c752119293d795c8272c3cc9b79c8ed049e84297b5b1f1111b745",
+    "text": "b1268f02b6d7d54ba965d18b6d82450fdd03d84261a709beca956d716cc7eef6",
+}
+
+
+def test_fcurves_at_the_class_table_limit_replays_in_process():
+    for fmt, digest in FCURVES_AT_LIMIT.items():
+        entry = run_in_process(["fcurves", "--genus", "120", "--format", fmt])
+        assert entry == {**_entry(0, "", ""), "stdout": digest}, fmt
 
 
 def test_recorder_writes_nothing_when_mgnef_cannot_run(monkeypatch, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +50,13 @@ from mgnef import (
 )
 from mgnef import divisors, torelli
 from mgnef._record import Record
-from helpers import full_scale, full_sub, rand_fraction, rand_nonneg_fraction
+from helpers import (
+    full_scale,
+    full_sub,
+    per_point_bpf_scan,
+    rand_fraction,
+    rand_nonneg_fraction,
+)
 
 # -- the catalog ----------------------------------------------------------------
 
@@ -470,23 +477,106 @@ def test_bpf_scan_base_entry_and_m_independence():
 
 
 def test_bpf_scan_keeps_the_deviations_and_nothing_else(monkeypatch):
-    # one grid point, m = 2 at alpha = 1, beta = 0, is made to meet C3(2) in 0
-    target = face_member(5, 1, 0).scale(2) - (canonical_class(5) + boundary_total(5))
+    # one face member, lambda at alpha = 1, beta = 0, is made to meet C3(2)
+    # in 1, not 0.  The scan pairs K + Delta and each member once, and the
+    # value at m is m * 1 - 1, so only the points of that member deviate, at
+    # every m: an affine map of m that meets -1 at two values of m is constant
+    member = face_member(5, 1, 0)
+    adjoint = canonical_class(5) + boundary_total(5)
 
     def forced(d, curve):
         value = intersect(d, curve)
-        return value + 1 if d == target and curve.indices == (2,) else value
+        return value + 1 if d == member and curve.indices == (2,) else value
 
     monkeypatch.setattr(torelli, "intersect", forced)
     report = bpf_scan(5, [1, 2, 3], [0, 1], [0, 1])
     assert report.points == 12
-    assert report.deviations == (BpfEntry(2, Fraction(1), Fraction(0), target, (-1, 0, -1)),)
+    assert report.deviations == tuple(
+        BpfEntry(m, Fraction(1), Fraction(0), member.scale(m) - adjoint, (-1, m - 1, -1))
+        for m in (1, 2, 3)
+    )
     assert report.symbolic_ok and not report.ok
     payload = report.to_json_dict()
     assert payload["entries"] == 12 and payload["all_c3_equal_minus_one"] is False
     assert payload["deviations"] == [
-        {"m": 2, "alpha": "1", "beta": "0", "c3_values": ["-1", "0", "-1"]}
+        {"m": m, "alpha": "1", "beta": "0", "c3_values": ["-1", str(m - 1), "-1"]}
+        for m in (1, 2, 3)
     ]
+
+
+@st.composite
+def bpf_grids(draw):
+    """A genus, a small grid with rational alpha and beta, and a shift of the
+    C3 values: a linear form on the coordinates, added to d . C3(i) for the
+    chosen i.  A form on a or b_0 shifts the face members' values, so the
+    deviations depend on m; one on b_1, ... shifts only K + Delta's, so every
+    point deviates alike."""
+    g = draw(st.integers(3, 12))
+    fractions = st.fractions(min_value=0, max_value=4, max_denominator=3)
+    m_values = draw(st.lists(st.integers(-2, 6), min_size=1, max_size=3))
+    alphas = draw(st.lists(fractions, min_size=1, max_size=3))
+    betas = draw(st.lists(fractions, min_size=1, max_size=3))
+    chosen = draw(st.sets(st.integers(1, g - 2), min_size=1))
+    form = draw(st.lists(st.integers(-2, 2), min_size=g // 2 + 2, max_size=g // 2 + 2))
+    return g, m_values, alphas, betas, chosen, form
+
+
+def shifted_intersect(form, chosen):
+    """``intersect`` with the linear form added to d . C3(i) for i in chosen."""
+
+    def shifted(d, curve):
+        value = intersect(d, curve)
+        return value + sum(map(mul, form, d.coeffs())) if curve.indices[0] in chosen else value
+
+    return shifted
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bpf_grids())
+def test_bpf_scan_matches_the_per_point_scan(grid):
+    g, m_values, alphas, betas, chosen, form = grid
+    assert bpf_scan(g, m_values, alphas, betas) == per_point_bpf_scan(g, m_values, alphas, betas)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(torelli, "intersect", shifted_intersect(form, chosen))
+        assert bpf_scan(g, m_values, alphas, betas) == per_point_bpf_scan(g, m_values, alphas,
+                                                                           betas)
+
+
+def test_shifted_c3_values_deviate_with_m_and_without(monkeypatch):
+    grid = (7, [1, 2, 3], [0, 1], [0, Fraction(1, 2)])
+    # 1*b_1 meets K + Delta in 1 and no face member: every point deviates alike
+    monkeypatch.setattr(torelli, "intersect", shifted_intersect([0, 0, 1, 0, 0], {2}))
+    report = bpf_scan(*grid)
+    assert report == per_point_bpf_scan(*grid)
+    assert len(report.deviations) == 12
+    assert {e.c3_values for e in report.deviations} == {(-1, -2, -1, -1, -1)}
+    # 1*a meets K + Delta in 13 and a face member in alpha + 12*beta, so
+    # C3(2) meets m*D - (K + Delta) in -1 + (alpha + 12*beta)*m - 13
+    monkeypatch.setattr(torelli, "intersect", shifted_intersect([1, 0, 0, 0, 0], {2}))
+    report = bpf_scan(*grid)
+    assert report == per_point_bpf_scan(*grid)
+    assert [e.c3_values[1] for e in report.deviations] == [-14, -14, -14, -8, -2, 4,
+                                                           -13, -12, -11, -7, 0, 7]
+
+
+@pytest.mark.parametrize("g", [3, 7, 12])
+def test_bpf_scan_pairs_k_plus_delta_and_each_member_once(monkeypatch, g):
+    """(g - 2) * (1 + |alpha| * |beta|) intersections, whatever the m range:
+    no m is scanned when every face member meets every C3 in 0."""
+    calls = []
+
+    def counted(d, curve):
+        calls.append(curve)
+        return intersect(d, curve)
+
+    monkeypatch.setattr(torelli, "intersect", counted)
+    for m_max in (1, 5, 1000, 10**12):
+        for alphas, betas in (([0], [0]), (range(3), range(2)),
+                              ([Fraction(1, 2), 2], [0, Fraction(1, 3), 1])):
+            del calls[:]
+            report = bpf_scan(g, range(1, m_max + 1), alphas, betas)
+            assert report.ok and report.points == m_max * len(alphas) * len(betas)
+            assert len(calls) == (g - 2) * (1 + len(alphas) * len(betas)), (m_max, alphas)
 
 
 def test_bpf_scan_json():
