@@ -107,8 +107,10 @@ _BPF_MAX_ROW_ENTRIES = _BPF_MAX_EVALUATIONS * 503
 # fcurves builds the class table, which grows about as g^3, and so does check
 # for a divisor off the plane of a and b_0.  certify and pullback build none,
 # but certify's active set grows as fast, and all four share the cap.  At the
-# cap (cold, 2 vCPUs, Python 3.11.7, 0.08 s of it start-up): fcurves --format json
-# 0.7-0.9 s and 56 MB, check of L - d7 0.13-0.21 s and 27 MB, certify 0.11-0.15 s, 21 MB
+# cap (cold, 2 vCPUs, Python 3.11.7, 0.06 s of it start-up): fcurves --format json
+# 0.70-0.77 s and 63 MB; check 0.14-0.16 s and 24 MB both of L - d7, which stops at
+# an early witness, and of 11*L + K, which pairs every class (0.17 s when the rows
+# were dense); certify 0.09 s and 21 MB
 _TABLE_MAX_GENUS = 120
 
 

@@ -35,7 +35,8 @@ _ZERO = Fraction(0)  # shared by every zero coordinate
 
 
 def reflect_index(k: int, g: int) -> int:
-    """Canonical boundary subscript: min(k, g - k)."""
+    """Canonical boundary subscript: min(k, g - k), k read through ``operator.index``."""
+    k = index(k)
     if k < 0 or k > g:
         raise IndexOutOfRangeError(f"delta index {k} outside 0..{g}")
     return min(k, g - k)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd
-from operator import itemgetter, mul
+from operator import index, mul
 
 from ._record import Record
 from .divisors import DivisorClass, GenusContext, as_context
@@ -84,13 +84,9 @@ def _class_terms(family: str) -> tuple[tuple[int, int | None, tuple[int, ...]], 
     return tuple((coeff // q, const, pos) for coeff, const, pos in terms)
 
 
-def _row12(family: str, indices: tuple[int, ...], g: int) -> tuple[int, ...]:
-    """12 * (D . C) as integer coefficients on (a, b_0, ..., b_{floor(g/2)})."""
-    return _row(_terms(family), indices, g, _slots(g))
-
-
-def _row(terms, indices: tuple[int, ...], g: int, slots: tuple[int, ...]) -> tuple[int, ...]:
-    """The sum of the terms as integer coefficients on (a, b_0, ..., b_{floor(g/2)})."""
+def _row(terms, indices: tuple[int, ...], g: int, slots: tuple[int, ...]):
+    """The sum of the terms as a sparse row: the slots of (a, b_0, ...,
+    b_{floor(g/2)}) where it is nonzero, ascending, and its coefficients there."""
     row = [0] * (g // 2 + 2)
     for coeff, const, pos in terms:
         if const is None:
@@ -100,7 +96,15 @@ def _row(terms, indices: tuple[int, ...], g: int, slots: tuple[int, ...]) -> tup
             for p in pos:
                 k += indices[p]
             row[slots[k]] += coeff
-    return tuple(row)
+    return tuple(compress(range(len(row)), row)), tuple(filter(None, row))
+
+
+def _dense(row, n: int) -> tuple[int, ...]:
+    """The sparse row as n integer coefficients."""
+    out = [0] * n
+    for s, coeff in zip(*row):
+        out[s] = coeff
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -110,20 +114,21 @@ def _tag_format(family: str) -> str:
     return f"{family}({','.join(['%d'] * n)})" if n else family
 
 
-def _tag(family: str, indices: tuple[int, ...]) -> str:
-    return _tag_format(family) % tuple(indices)
-
-
 class FCurve(Record):
-    """One F-curve, stored with its raw (unreflected) indices."""
+    """One F-curve, stored with its raw (unreflected) indices as a tuple of ints."""
 
     _fields = ("ctx", "family", "indices")
 
-    def __init__(self, ctx: GenusContext, family: str, indices: tuple[int, ...] = ()):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "indices", indices)
+    def __init__(self, ctx: GenusContext, family: str, indices=()):
+        vars(self).update(ctx=ctx, family=family, indices=tuple(map(index, indices)))
         self.__post_init__()
+
+    @classmethod
+    def _of(cls, ctx: GenusContext, family: str, indices: tuple[int, ...]) -> "FCurve":
+        """The curve of a class table key, valid already; it shares the key's tuple."""
+        c = object.__new__(cls)
+        vars(c).update(ctx=ctx, family=family, indices=indices)
+        return c
 
     def __post_init__(self):
         g = self.ctx.g
@@ -144,7 +149,7 @@ class FCurve(Record):
 
     @property
     def tag(self) -> str:
-        return _tag(self.family, self.indices)
+        return _tag_format(self.family) % self.indices
 
     @property
     def sort_key(self) -> tuple:
@@ -154,21 +159,10 @@ class FCurve(Record):
         return self.tag
 
 
-def _on_support(c):
-    """An itemgetter ``pick`` over the coordinates where the integer vector c
-    is nonzero, and xs, c picked by it: ``sum(map(mul, pick(row), xs))`` is
-    row . c.  The first index is picked again at the end, which keeps a
-    one-coordinate pick a tuple; it is sliced off xs, and map stops at the
-    shorter of the two.  When c is zero, coordinate 0 stands in for the
-    empty support."""
-    picked = list(compress(range(len(c)), c)) or [0]
-    pick = itemgetter(*picked, picked[0])
-    return pick, pick(c)[:-1]
-
-
 def ineq_row(c: FCurve) -> Vec:
     """Coefficients of D . C as a functional on (a, b_0, ..., b_{floor(g/2)})."""
-    return tuple(Fraction(x, 12) for x in _row12(c.family, c.indices, c.ctx.g))
+    row = _row(_terms(c.family), c.indices, c.ctx.g, _slots(c.ctx.g))
+    return tuple(Fraction(x, 12) for x in _dense(row, c.ctx.dim))
 
 
 def _same_genus(d: DivisorClass, ctx: GenusContext) -> None:
@@ -187,8 +181,8 @@ def intersect(d: DivisorClass, c: FCurve) -> Fraction:
 
 def _vector12(family: str, indices: tuple[int, ...], g: int) -> tuple[int, ...]:
     """12 * (lambda . C, delta_0 . C, ...): the row of 12 * (D . C), b negated."""
-    a, *b = _row12(family, indices, g)
-    return (a, *(-x for x in b))
+    slots, coeffs = _row(_terms(family), indices, g, _slots(g))
+    return _dense((slots, [-x if s else x for s, x in zip(slots, coeffs)]), g // 2 + 2)
 
 
 def intersection_vector(c: FCurve) -> Vec:
@@ -197,18 +191,18 @@ def intersection_vector(c: FCurve) -> Vec:
 
 
 @lru_cache(maxsize=None)
-def _witness_rows(g: int) -> tuple[tuple[int, ...], ...]:
-    """12 * (D . C) for the witness curves {C1, C2, C3(1), ..., C3(d-2)}."""
+def _witness_rows(g: int) -> tuple:
+    """12 * (D . C) as sparse rows for the witness curves {C1, C2, C3(1), ..., C3(d-2)}."""
     curves = [("C1", ()), ("C2", ())] + [("C3", (i,)) for i in range(1, g // 2 + 1)]
-    return tuple(_row12(fam, idx, g) for fam, idx in curves)
+    return tuple(_row(_terms(fam), idx, g, _slots(g)) for fam, idx in curves)
 
 
 def _witness_values(d: DivisorClass, ctx: GenusContext) -> list[Fraction]:
-    """d . C for the genus-ctx witness curves, one per basis slot: each row
-    paired with d's numerators on its support, over 12 * d.den; every zero is one object."""
+    """d . C for the genus-ctx witness curves, one per basis slot: each
+    sparse row paired with d's numerators, over 12 * d.den; every zero is one object."""
     _same_genus(d, ctx)
-    pick, xs = _on_support(d.num)
-    vals = [sum(map(mul, pick(row), xs)) for row in _witness_rows(ctx.g)]
+    at = d.num.__getitem__
+    vals = [sum(map(mul, coeffs, map(at, slots))) for slots, coeffs in _witness_rows(ctx.g)]
     return [Fraction(v, 12 * d.den) if v else _ZERO for v in vals]
 
 
@@ -243,9 +237,9 @@ def enumerate_fcurves_raw(g) -> list[FCurve]:
 
 
 class _Table(Record):
-    """The class table of one genus as columns, in table order: the
-    primitive integer ``rows``; each class's representative ``keys``,
-    (family, indices); and its member ``tags``, representative first."""
+    """The class table of one genus as columns, in table order: the sparse
+    primitive integer ``rows`` (see ``_row``); each class's representative
+    ``keys``, (family, indices); and its member ``tags``, representative first."""
 
     _fields = ("rows", "keys", "tags")
 
@@ -309,12 +303,13 @@ def numerical_classes(g) -> list[FCurveClass]:
 
     The representative is the curve whose (family, indices) key is smallest,
     so C4(0) represents the g = 3 class {C4(0), C4(1)}; a genus below 3
-    raises UnsupportedGenusError from the genus context.  The objects are
-    built on each call and share the cached table's tuples.
+    raises UnsupportedGenusError from the genus context.  The objects and
+    their dense rows are built on each call from the cached table, sharing
+    its index and tag tuples.
     """
     ctx = as_context(g)
-    t = _table(ctx.g)
-    return [FCurveClass(FCurve(ctx, *key), row, tags)
+    t, n = _table(ctx.g), ctx.dim
+    return [FCurveClass(FCurve._of(ctx, *key), _dense(row, n), tags)
             for key, row, tags in zip(t.keys, t.rows, t.tags)]
 
 
@@ -331,9 +326,9 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
     violated curve with the smallest (family, indices) key.  A divisor
     supported on a and b_0 meets C1 in (a - 12 b_0)/12, C2 in b_0, every
     C4 in 2 b_0 and every other class in 0, so its verdict and witness are
-    read off a - 12 b_0 and b_0, with no class table.  Otherwise each class
-    whose row is nonzero on d's support is paired with d on that support, in
-    table order; any other class pairs to 0 and is never a witness.
+    read off a - 12 b_0 and b_0, with no class table.  Otherwise each
+    class's sparse row is paired with d's numerators at its slots, in table
+    order; a class off d's support pairs to 0 and is never a witness.
     """
     num = d.num
     if not any(num[2:]):
@@ -343,8 +338,8 @@ def is_fnef(d: DivisorClass) -> tuple[bool, FCurve | None]:
             return False, FCurve(d.ctx, "C2")
         return True, None
     t = _table(d.ctx.g)
-    pick, xs = _on_support(num)
-    for key, row in compress(zip(t.keys, t.rows), map(any, map(pick, t.rows))):
-        if sum(map(mul, pick(row), xs)) < 0:
+    at = num.__getitem__
+    for key, (slots, coeffs) in zip(t.keys, t.rows):
+        if sum(map(mul, coeffs, map(at, slots))) < 0:
             return False, FCurve(d.ctx, *key)
     return True, None

@@ -39,13 +39,11 @@ from mgnef.cones import Check
 from mgnef.fcurves import (
     _Table,
     _class_terms,
-    _on_support,
     _raw_indices,
     _row,
-    _row12,
     _slots,
-    _tag,
     _tag_format,
+    _terms,
 )
 from mgnef.linalg import clear_denominators, integer_rank
 
@@ -299,21 +297,24 @@ def full_rank_face_certificate(g, gen1, gen2, gen_labels=("first-generator", "se
 def dense_classes(ctx) -> tuple[FCurveClass, ...]:
     groups = {}
     for fam, idx in _raw_indices(ctx.g):
-        groups.setdefault(_row12(fam, idx, ctx.g), []).append((fam, idx))
+        row12 = dense_row(_row(_terms(fam), idx, ctx.g, _slots(ctx.g)), ctx.dim)
+        groups.setdefault(row12, []).append((fam, idx))
     records = []
     for row, members in groups.items():
         g = gcd(*row)
         records.append(FCurveClass(
             FCurve(ctx, *members[0]),
             tuple([x // g for x in row]),
-            tuple(_tag(fam, idx) for fam, idx in members),
+            tuple(_tag_format(fam) % idx for fam, idx in members),
         ))
     return tuple(records)
 
 
 # The reference for the index rules of mgnef.fcurves._table: every curve's
-# family-reduced row hashed, and the curves grouped on equal rows.  The rules
-# must give the same rows, representative keys and member tags, in order.
+# family-reduced sparse row hashed, and the curves grouped on equal rows (a
+# sparse row lists its nonzero slots in ascending order, so equal rows are
+# equal tuples).  The rules must give the same rows, representative keys and
+# member tags, in order.
 def hashed_table(ctx) -> _Table:
     # curves come in sort-key order, so each group's first member is its
     # representative and the groups are in the order of their representatives.
@@ -332,15 +333,23 @@ def hashed_table(ctx) -> _Table:
     return _Table(tuple(groups), tuple(keys), tuple(map(tuple, groups.values())))
 
 
+def dense_row(row, dim) -> tuple[int, ...]:
+    """A sparse class table row, (slots, coefficients), as dim coefficients."""
+    out = [0] * dim
+    for slot, coeff in zip(*row):
+        out[slot] = coeff
+    return tuple(out)
+
+
 # The reference for the active set of mgnef.verify_extremal_face: the classes
-# of the hashed table whose rows, paired with lambda + (12*lambda - delta_0)
-# on its support, give 0.
+# of the hashed table whose dense rows, paired with lambda + (12*lambda -
+# delta_0) on every coordinate, give 0.
 def hashed_active_curves(g) -> tuple[str, ...]:
     ctx = as_context(g)
     table = hashed_table(ctx)
-    pick, xs = _on_support((lambda_class(ctx) + twelve_lambda_minus_delta0(ctx)).num)
+    x = (lambda_class(ctx) + twelve_lambda_minus_delta0(ctx)).num
     return tuple(tags[0] for row, tags in zip(table.rows, table.tags)
-                 if not sum(map(mul, pick(row), xs)))
+                 if not sum(map(mul, dense_row(row, ctx.dim), x)))
 
 
 # The reference for the expression parser: the character scanner that the

@@ -138,6 +138,14 @@ def test_named_divisors():
     d2 = delta(g, 2)
     assert d2.delta_coeff(2) == -(-1) and d2.b[2] == -1
     assert delta(g, 5) == delta(g, 2)
+    # the subscript is read through operator.index, as the genus is
+    assert delta(g, Index(5)) == delta(g, 2) == delta(Index(g), Index(2))
+    for k in (1.5, 2.0, "2", Fraction(2)):
+        with pytest.raises(TypeError):
+            delta(g, k)
+        with pytest.raises(TypeError):
+            reflect_index(k, g)
+    assert type(reflect_index(Index(5), g)) is int
 
 
 def test_face_member():

@@ -37,6 +37,7 @@ from mgnef import (
 from mgnef.fcurves import FORMULAS, _class_terms, _table
 from helpers import (
     dense_classes,
+    dense_row,
     full_row_is_fnef,
     full_scan_is_fnef,
     hashed_active_curves,
@@ -157,6 +158,21 @@ def test_index_validation():
         curve(2, "C2")
     with pytest.raises(ValueError):
         curve(5, "C9")
+    # indices are read through operator.index into a tuple of ints: a float
+    # is refused, not cut to the index of another curve
+    for family, indices in (("C4", (0.5,)), ("C3", (2.0,)), ("C5", (1, 1.5)), ("C3", ("2",))):
+        with pytest.raises(TypeError):
+            FCurve(as_context(5), family, indices)
+
+    class Index:
+        def __index__(self):
+            return 2
+
+    for indices in ([2], (Index(),), range(2, 3)):
+        c = FCurve(as_context(5), "C3", indices)
+        assert c.indices == (2,) and type(c.indices[0]) is int, indices
+        assert c == curve(5, "C3", 2) and hash(c) == hash(curve(5, "C3", 2)) and c.tag == "C3(2)"
+        assert intersect(from_coeffs(5, [0, 0, 0, 1]), c) == 1
 
 
 def test_genus_mismatch():
@@ -353,13 +369,14 @@ def test_is_fnef_matches_full_scan_on_small_and_full_supports():
         for d in _bounded_scan_divisors(g):
             assert is_fnef(d) == full_scan_is_fnef(d), (g, d.coeffs())
     # a divisor supported on {a, b_0} meets 22 of the 881 classes at genus 40,
-    # C1, C2 and the C4 classes (is_fnef answers it without the table)
+    # C1, C2 and the C4 classes (is_fnef answers it without the table): the
+    # rows whose first nonzero slot is a or b_0
     rows = _table(40).rows
-    assert (len(rows), sum(1 for row in rows if row[0] or row[1])) == (881, 22)
+    assert (len(rows), sum(1 for slots, _ in rows if slots[0] <= 1)) == (881, 22)
 
 
 @st.composite
-def divisors_on_supports(draw):
+def divisors_with_supports(draw):
     g = draw(st.integers(3, 40))
     dim = as_context(g).dim
     support = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
@@ -372,7 +389,7 @@ def divisors_on_supports(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(divisors_on_supports())
+@given(divisors_with_supports())
 def test_is_fnef_property_matches_full_scan(d):
     assert is_fnef(d) == full_scan_is_fnef(d)
 
@@ -394,7 +411,7 @@ def test_is_fnef_on_the_plane_of_a_and_b0_matches_full_scan(g, a, b0):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(divisors_on_supports())
+@given(divisors_with_supports())
 def test_witness_values_match_intersect(d):
     """The witness values are d . C for C1, C2, C3(1..d-2), every zero the
     same object."""
@@ -409,16 +426,23 @@ def test_witness_values_match_intersect(d):
 
 def test_class_table_holds_rows_keys_and_tags():
     """The table keeps what the formulas give and nothing derived from the
-    rows: one row, one representative key and one tag tuple per class."""
+    rows: one row, one representative key and one tag tuple per class.  Its
+    rows and the witness rows are sparse: ascending slots, each below the
+    dimension, and a nonzero coefficient at each, one per formula term at
+    most."""
     assert fcurves._Table._fields == ("rows", "keys", "tags")
     for g in (3, 12, 40):
         table = _table(g)
         assert len({len(table.rows), len(table.keys), len(table.tags)}) == 1, g
+        for slots, coeffs in (*table.rows, *fcurves._witness_rows(g)):
+            assert sorted(set(slots)) == list(slots) and slots[-1] < as_context(g).dim
+            assert 0 < len(slots) == len(coeffs) <= 7 and all(coeffs)
 
 
 def test_class_objects_share_the_table_tuples(monkeypatch):
-    """The objects, built on each call, keep no second copy of a row, an
-    index or a tag tuple, and their representatives are the table's keys."""
+    """The objects, built on each call, keep no second copy of an index or
+    a tag tuple, their representatives are the table's keys, and each dense
+    row holds the table's sparse row."""
     built = spy_on_class_objects(monkeypatch)
     for g in (3, 12, 40):
         table = _table(g)
@@ -428,7 +452,8 @@ def test_class_objects_share_the_table_tuples(monkeypatch):
             assert built == classes and len(classes) == len(table.rows), g
             for rec, key, row, tags in zip(classes, table.keys, table.rows, table.tags):
                 assert (rec.curve.family, rec.curve.indices) == key
-                assert rec.curve.indices is key[1] and rec.row is row and rec.tags is tags
+                assert rec.curve.indices is key[1] and rec.tags is tags
+                assert rec.row == dense_row(row, as_context(g).dim)
         assert _table(g) is table
 
 
@@ -459,11 +484,12 @@ def test_certificate_builds_no_class_objects(monkeypatch):
 
 
 def _keys_tags_and_row_digest(table):
-    """The table's keys and tags and a SHA-256 digest of its rows, which
-    are all of one length: two tables at genus 240 would hold over 300 MB."""
+    """The table's keys and tags and a SHA-256 digest of its sparse rows,
+    each hashed as its length, its slots and its coefficients: two tables at
+    genus 240 would hold over 100 MB."""
     digest = hashlib.sha256()
-    for row in table.rows:
-        digest.update(array("q", row).tobytes())
+    for slots, coeffs in table.rows:
+        digest.update(array("q", (len(slots), *slots, *coeffs)).tobytes())
     return table.keys, table.tags, digest.digest()
 
 
